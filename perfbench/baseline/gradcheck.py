@@ -1,0 +1,176 @@
+"""Finite-difference verification of every analytic backward pass.
+
+All checks compare against central differences (default step 1e-6, 64-bit)
+over every input and weight coordinate and report the worst relative error,
+with the denominator floored at 1 so that near-zero gradients are compared
+absolutely.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .cca2d import CCAttentionParams, rcca_backward, rcca_forward
+from .cca3d import rcca3d_backward, rcca3d_forward
+from .losses import CCLConfig, ccl_loss, cross_entropy_seg
+
+DEFAULT_STEP = 1e-6
+DEFAULT_TOL = 1e-5
+
+
+@dataclass
+class CheckResult:
+    name: str
+    max_rel_err: float
+    worst_coordinate: str
+    cases: int
+
+    def passed(self, tol: float = DEFAULT_TOL) -> bool:
+        return self.max_rel_err < tol
+
+
+def rel_err(analytic: float, fd: float) -> float:
+    return abs(analytic - fd) / max(1.0, abs(analytic), abs(fd))
+
+
+def _fd_scalar(fn, arr: np.ndarray, step: float):
+    """Central-difference gradient of scalar fn w.r.t. every entry of arr."""
+    g = np.zeros_like(arr, dtype=np.float64)
+    flat = arr.reshape(-1)
+    gflat = g.reshape(-1)
+    for j in range(flat.size):
+        orig = flat[j]
+        flat[j] = orig + step
+        up = fn()
+        flat[j] = orig - step
+        down = fn()
+        flat[j] = orig
+        gflat[j] = (up - down) / (2.0 * step)
+    return g
+
+
+def _worst(pairs):
+    """pairs: iterable of (label, analytic array, fd array)."""
+    worst = (0.0, "none")
+    for label, a, f in pairs:
+        errs = np.abs(a - f) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(f)))
+        idx = int(np.argmax(errs))
+        if errs.reshape(-1)[idx] > worst[0]:
+            worst = (float(errs.reshape(-1)[idx]),
+                     f"{label}[{np.unravel_index(idx, a.shape)}]")
+    return worst
+
+
+def check_attention(seed: int, shape: tuple, channels: int, reduced: int,
+                    loops: int, step: float = DEFAULT_STEP) -> CheckResult:
+    """Gradcheck of the recurrent criss-cross backward (2D for len(shape)==2,
+    3D for len(shape)==3) with scalar loss sum(out^2)."""
+    rng = np.random.default_rng(seed)
+    p = CCAttentionParams.random(channels, reduced, rng)
+    x = rng.normal(0.0, 1.0, (channels,) + shape)
+    forward = rcca_forward if len(shape) == 2 else rcca3d_forward
+    backward = rcca_backward if len(shape) == 2 else rcca3d_backward
+
+    def loss():
+        out, _ = forward(x, p, loops)
+        return float((out ** 2).sum())
+
+    out, cache = forward(x, p, loops)
+    d_x, gw = backward(cache, 2.0 * out)
+
+    fd_x = _fd_scalar(loss, x, step)
+    fd_wq = _fd_scalar(loss, p.wq.weight, step)
+    fd_wk = _fd_scalar(loss, p.wk.weight, step)
+    fd_wv = _fd_scalar(loss, p.wv.weight, step)
+    err, coord = _worst([
+        ("input", d_x, fd_x),
+        ("wq", gw.d_wq, fd_wq),
+        ("wk", gw.d_wk, fd_wk),
+        ("wv", gw.d_wv, fd_wv),
+    ])
+    dims = "x".join(map(str, shape))
+    kind = "rcca2d" if len(shape) == 2 else "rcca3d"
+    return CheckResult(f"{kind}[{dims},R={loops},seed={seed}]", err, coord, 1)
+
+
+def _safe_ccl_instance(seed: int, cr: int, h: int, w: int, cfg: CCLConfig,
+                       band: float = 1e-4):
+    """Random features/labels whose distances stay away from the piecewise
+    boundaries; resamples until clear of the exclusion band."""
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        features = rng.normal(0.0, 1.0, (cr, h, w))
+        labels = rng.integers(0, 3, (h, w))
+        labels[0, 0] = 255  # keep the ignore path exercised
+        from .losses import class_means
+        means, _counts = class_means(features, labels)
+        safe = True
+        flat_f = features.reshape(cr, -1)
+        flat_l = labels.reshape(-1)
+        for c, mu in means.items():
+            for j in np.flatnonzero(flat_l == c):
+                d = float(np.linalg.norm(mu - flat_f[:, j]))
+                if min(abs(d - cfg.delta_v), abs(d - cfg.delta_d)) < band:
+                    safe = False
+        keys = sorted(means)
+        for i, a in enumerate(keys):
+            for b in keys[i + 1:]:
+                d = float(np.linalg.norm(means[a] - means[b]))
+                if abs(d - 2 * cfg.delta_d) < band:
+                    safe = False
+        if safe:
+            return features, labels
+        rng = np.random.default_rng(rng.integers(1 << 62))
+    raise RuntimeError("could not sample a boundary-free CCL instance")
+
+
+def check_ccl(seed: int, cr: int = 4, h: int = 5, w: int = 6,
+              cfg: CCLConfig | None = None,
+              step: float = DEFAULT_STEP) -> CheckResult:
+    cfg = cfg or CCLConfig()
+    features, labels = _safe_ccl_instance(seed, cr, h, w, cfg)
+    _bd, grad = ccl_loss(features, labels, cfg, want_grad=True)
+
+    def loss():
+        return ccl_loss(features, labels, cfg).weighted(cfg)
+
+    fd = _fd_scalar(loss, features, step)
+    err, coord = _worst([("features", grad, fd)])
+    return CheckResult(f"ccl[{cr}x{h}x{w},seed={seed}]", err, coord, 1)
+
+
+def check_cross_entropy(seed: int, k: int = 4, h: int = 5, w: int = 5,
+                        step: float = DEFAULT_STEP) -> CheckResult:
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(0.0, 2.0, (k, h, w))
+    labels = rng.integers(0, k, (h, w))
+    labels[0, 0] = 255
+    _loss, grad = cross_entropy_seg(logits, labels)
+
+    def loss():
+        return cross_entropy_seg(logits, labels)[0]
+
+    fd = _fd_scalar(loss, logits, step)
+    err, coord = _worst([("logits", grad, fd)])
+    return CheckResult(f"cross_entropy[{k}x{h}x{w},seed={seed}]", err, coord, 1)
+
+
+def default_suite(seeds: int = 3, step: float = DEFAULT_STEP) -> list:
+    """The checks behind the gradcheck CLI subcommand and the selftest."""
+    results = []
+    for s in range(seeds):
+        results.append(check_attention(s, (3, 4), channels=4, reduced=2,
+                                       loops=1, step=step))
+        results.append(check_attention(100 + s, (3, 3), channels=4, reduced=2,
+                                       loops=2, step=step))
+        results.append(check_attention(200 + s, (3, 3), channels=3, reduced=1,
+                                       loops=3, step=step))
+        results.append(check_attention(300 + s, (2, 2, 3), channels=3,
+                                       reduced=1, loops=1, step=step))
+        results.append(check_attention(400 + s, (2, 2, 3), channels=3,
+                                       reduced=1, loops=2, step=step))
+        results.append(check_ccl(500 + s, step=step))
+        results.append(check_cross_entropy(600 + s, step=step))
+    return results

@@ -1,0 +1,198 @@
+"""Deliberately slow, obviously correct references.
+
+Everything here is scalar loops or brute-force finite differences; these
+functions exist only to be trusted, never to be fast.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .cca2d import CCAttentionParams, crisscross_index_map
+from .cca3d import crisscross_index_map_3d
+from .tensor_core import DimensionError
+
+
+@dataclass
+class OpCounter:
+    """Multiply-add tally per attention stage, for the cost-model cross-check.
+
+    Counts 2 scalar ops per multiply-add and 3 per softmax element (exp,
+    accumulate, divide); the stabilizing max-subtraction is not counted.
+    """
+
+    projections: int = 0
+    affinity: int = 0
+    softmax: int = 0
+    aggregation: int = 0
+
+    @property
+    def total(self) -> int:
+        return self.projections + self.affinity + self.softmax + self.aggregation
+
+
+def _project_naive(x, weight, counter: OpCounter | None, stage: str):
+    c_out, c_in = weight.shape
+    spatial = x.shape[1:]
+    out = np.zeros((c_out,) + spatial, dtype=x.dtype)
+    for pos in np.ndindex(*spatial):
+        for co in range(c_out):
+            acc = 0.0
+            for ci in range(c_in):
+                acc += weight[co, ci] * x[(ci,) + pos]
+                if counter is not None:
+                    setattr(counter, stage, getattr(counter, stage) + 2)
+            out[(co,) + pos] = acc
+    return out
+
+
+def _softmax_naive(col, counter: OpCounter | None):
+    m = max(col)
+    e = [math.exp(s - m) for s in col]
+    z = sum(e)
+    out = [v / z for v in e]
+    if counter is not None:
+        counter.softmax += 3 * len(col)
+    return out
+
+
+def cca_naive(h: np.ndarray, p: CCAttentionParams,
+              counter: OpCounter | None = None) -> np.ndarray:
+    """Scalar-loop 2D criss-cross attention, definitionally following the
+    affinity/softmax/aggregation pipeline position by position."""
+    c, hh, ww = h.shape
+    q = _project_naive(h, p.wq.weight, counter, "projections")
+    k = _project_naive(h, p.wk.weight, counter, "projections")
+    v = _project_naive(h, p.wv.weight, counter, "projections")
+    L = hh + ww - 1
+    out = np.zeros_like(h)
+    for r in range(hh):
+        for col in range(ww):
+            scores = []
+            for i in range(L):
+                rr, cc = crisscross_index_map((r, col), i, hh, ww)
+                acc = 0.0
+                for ch in range(q.shape[0]):
+                    acc += q[ch, r, col] * k[ch, rr, cc]
+                    if counter is not None:
+                        counter.affinity += 2
+                scores.append(acc)
+            attn = _softmax_naive(scores, counter)
+            for ch in range(c):
+                acc = 0.0
+                for i in range(L):
+                    rr, cc = crisscross_index_map((r, col), i, hh, ww)
+                    acc += attn[i] * v[ch, rr, cc]
+                    if counter is not None:
+                        counter.aggregation += 2
+                out[ch, r, col] = acc + h[ch, r, col]
+                if counter is not None:
+                    counter.aggregation += 1  # residual add
+    return out
+
+
+def cca3d_naive(h: np.ndarray, p: CCAttentionParams) -> np.ndarray:
+    """Scalar-loop 3D criss-cross attention."""
+    c, tt, hh, ww = h.shape
+    q = _project_naive(h, p.wq.weight, None, "projections")
+    k = _project_naive(h, p.wk.weight, None, "projections")
+    v = _project_naive(h, p.wv.weight, None, "projections")
+    L = tt + hh + ww - 2
+    out = np.zeros_like(h)
+    for u in np.ndindex(tt, hh, ww):
+        scores = []
+        for i in range(L):
+            nb = crisscross_index_map_3d(u, i, tt, hh, ww)
+            scores.append(float(np.dot(q[(slice(None),) + u], k[(slice(None),) + nb])))
+        attn = _softmax_naive(scores, None)
+        acc = h[(slice(None),) + u].astype(np.float64).copy()
+        for i in range(L):
+            nb = crisscross_index_map_3d(u, i, tt, hh, ww)
+            acc = acc + attn[i] * v[(slice(None),) + nb]
+        out[(slice(None),) + u] = acc
+    return out
+
+
+def nonlocal_forward(h: np.ndarray, p: CCAttentionParams) -> np.ndarray:
+    """Dense non-local attention baseline: every position attends to all N
+    positions; same unscaled scores and residual as the criss-cross module."""
+    if h.ndim != 3:
+        raise DimensionError(f"expected (C, H, W) input, got rank {h.ndim}")
+    c = h.shape[0]
+    if c != p.channels:
+        raise DimensionError(f"input has {c} channels, parameters expect {p.channels}")
+    flat = h.reshape(c, -1)
+    q = p.wq.weight @ flat
+    k = p.wk.weight @ flat
+    v = p.wv.weight @ flat
+    scores = q.T @ k  # (N, N)
+    scores -= scores.max(axis=1, keepdims=True)
+    e = np.exp(scores)
+    attn = e / e.sum(axis=1, keepdims=True)
+    out = v @ attn.T + flat
+    return out.reshape(h.shape)
+
+
+def jacobian_fd(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
+    """Central-difference Jacobian of f: flat(out) by flat(in)."""
+    if step <= 0:
+        raise ValueError(f"step must be positive, got {step}")
+    x = np.asarray(x, dtype=np.float64)
+    y0 = np.asarray(f(x)).ravel()
+    jac = np.zeros((y0.size, x.size))
+    flat = x.ravel()
+    for j in range(flat.size):
+        orig = flat[j]
+        xp = flat.copy()
+        xp[j] = orig + step
+        xm = flat.copy()
+        xm[j] = orig - step
+        yp = np.asarray(f(xp.reshape(x.shape))).ravel()
+        ym = np.asarray(f(xm.reshape(x.shape))).ravel()
+        jac[:, j] = (yp - ym) / (2.0 * step)
+    return jac
+
+
+@dataclass
+class InfluencePattern:
+    """Boolean reachability matrix over flat spatial positions: entry (u, theta)
+    is True iff the output at u is sensitive to the input at theta."""
+
+    mask: np.ndarray  # (N, N) bool
+
+    @property
+    def density(self) -> float:
+        return float(self.mask.mean())
+
+    def __le__(self, other: "InfluencePattern") -> bool:
+        return bool(np.all(~self.mask | other.mask))
+
+
+def influence_scan(f, x: np.ndarray, threshold: float = 1e-12,
+                   step: float = 1e-6) -> InfluencePattern:
+    """Finite-difference position-to-position sensitivity: (u, theta) is set
+    iff any channel pair has |d f(x)[:, u] / d x[:, theta]| > threshold."""
+    if threshold <= 0:
+        raise ValueError(f"threshold must be positive, got {threshold}")
+    c = x.shape[0]
+    n = int(np.prod(x.shape[1:]))
+    jac = jacobian_fd(f, x, step=step)  # (C*N, C*N)
+    j4 = np.abs(jac).reshape(c, n, c, n)
+    sens = j4.max(axis=(0, 2))  # (N_out, N_in)
+    return InfluencePattern(mask=sens > threshold)
+
+
+def crisscross_mask(h: int, w: int) -> np.ndarray:
+    """Combinatorial (N, N) boolean mask: True iff positions share a row or column."""
+    n = h * w
+    mask = np.zeros((n, n), dtype=bool)
+    for r in range(h):
+        for c in range(w):
+            u = r * w + c
+            for i in range(h + w - 1):
+                rr, cc = crisscross_index_map((r, c), i, h, w)
+                mask[u, rr * w + cc] = True
+    return mask
