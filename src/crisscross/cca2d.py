@@ -1,14 +1,19 @@
-"""2D criss-cross attention: index mapping, affinity, aggregation, recurrent
-forward, and analytic backward passes.
+"""2D criss-cross attention, and the axial engine shared with the 3D module.
 
-The attention structure is carried by an integer gather table ``nbr`` of shape
-(L, N): nbr[i, n] is the flat spatial index of the i-th criss-cross neighbor
-of flat position n, L = H+W-1. The same machinery serves the 3D module.
+The criss-cross set of a position is the union of the axis lines through it
+(H+W-1 positions in 2D, T+H+W-2 in 3D). The engine scores each axis's lines
+as one batched matrix product, sets the duplicate self entry of every axis
+after the first to -inf, and runs one joint softmax. Attention arrays use
+this *line layout*, (*S, sum(S)): block m holds the weights over the line
+along spatial axis m, zero at the duplicates. Aggregation and backward are
+batched products over the same lines; the index maps and gather tables (the
+*index-map layout*) are the definitional enumeration, for verification only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,11 +57,10 @@ class CCAttentionParams:
 
     @staticmethod
     def random(channels: int, reduced: int, rng: np.random.Generator, scale: float = 0.5):
-        c, cr = channels, reduced
         return CCAttentionParams(
-            wq=ProjectionWeights(rng.normal(0.0, scale, (cr, c))),
-            wk=ProjectionWeights(rng.normal(0.0, scale, (cr, c))),
-            wv=ProjectionWeights(rng.normal(0.0, scale, (c, c))),
+            wq=ProjectionWeights(rng.normal(0.0, scale, (reduced, channels))),
+            wk=ProjectionWeights(rng.normal(0.0, scale, (reduced, channels))),
+            wv=ProjectionWeights(rng.normal(0.0, scale, (channels, channels))),
         )
 
 
@@ -68,45 +72,23 @@ class CCAttentionGrads:
     d_wk: np.ndarray
     d_wv: np.ndarray
 
-    def __add__(self, other: "CCAttentionGrads") -> "CCAttentionGrads":
-        return CCAttentionGrads(
-            self.d_wq + other.d_wq, self.d_wk + other.d_wk, self.d_wv + other.d_wv
-        )
-
-
-@dataclass(frozen=True)
-class RCCAConfig:
-    loops: int
-    channels: int
-    reduced_channels: int
-
-    def __post_init__(self):
-        if self.loops < 1:
-            raise ValueError(f"loops must be >= 1, got {self.loops}")
-        if not 0 < self.reduced_channels < self.channels:
-            raise ValueError(
-                f"need 0 < reduced {self.reduced_channels} < channels {self.channels}"
-            )
-
 
 @dataclass
 class LoopRecord:
     """Intermediates of one attention application, kept for the backward pass."""
 
-    x: np.ndarray        # input, channel-flat (C, N)
-    q: np.ndarray        # (C', N)
-    k: np.ndarray        # (C', N)
-    v: np.ndarray        # (C, N)
-    scores: np.ndarray   # pre-softmax (L, N)
-    attn: np.ndarray     # post-softmax (L, N)
+    x: np.ndarray        # input (C, *S)
+    q: np.ndarray        # (C', *S)
+    k: np.ndarray        # (C', *S)
+    v: np.ndarray        # (C, *S)
+    attn: np.ndarray     # post-softmax, line layout (*S, sum(S))
 
 
 @dataclass
 class ForwardCache:
-    """Per-loop records plus the gather table, for analytic backward."""
+    """Per-loop records, for analytic backward."""
 
     shape: tuple
-    nbr: np.ndarray
     params: CCAttentionParams
     records: list = field(default_factory=list)
 
@@ -133,84 +115,125 @@ def crisscross_index_map(u: tuple, i: int, h: int, w: int) -> tuple:
     return (row, cols[j])
 
 
+def _gather_table(spatial: tuple) -> np.ndarray:
+    """nbr[i, n] in index-map order: the whole line along axis 0 through
+    flat position n, then each later axis's line without n itself."""
+    coords = np.indices(spatial).reshape(len(spatial), 1, -1)
+    rows = []
+    for m, s in enumerate(spatial):
+        z = np.arange(s)[:, None]
+        if m:
+            z = z[:-1] + (z[:-1] >= coords[m])  # skip the own coordinate
+        line = np.repeat(coords, len(z), axis=1)
+        line[m] = z
+        rows.append(np.ravel_multi_index(tuple(line), spatial))
+    return np.concatenate(rows)
+
+
 def build_gather_table_2d(h: int, w: int) -> np.ndarray:
     """nbr[i, n]: flat index of the i-th criss-cross neighbor of flat position n."""
-    L = h + w - 1
-    nbr = np.empty((L, h * w), dtype=np.int64)
-    for r in range(h):
-        for c in range(w):
-            n = r * w + c
-            for i in range(L):
-                rr, cc = crisscross_index_map((r, c), i, h, w)
-                nbr[i, n] = rr * w + cc
-    return nbr
+    return _gather_table((h, w))
 
 
 # ---------------------------------------------------------------------------
-# structure-generic core (shared with the 3D module)
+# axial engine (rank-generic, shared with the 3D module)
 
-def _attention_core_forward(x_flat: np.ndarray, p: CCAttentionParams, nbr: np.ndarray):
-    q = p.wq.weight @ x_flat
-    k = p.wk.weight @ x_flat
-    v = p.wv.weight @ x_flat
-    scores = np.einsum("cn,cln->ln", q, k[:, nbr])
-    attn = softmax_axis(scores, axis=0)
-    out = np.einsum("ln,cln->cn", attn, v[:, nbr]) + x_flat
-    return out, LoopRecord(x=x_flat, q=q, k=k, v=v, scores=scores, attn=attn)
-
-
-def _attention_core_backward(rec: LoopRecord, d_out: np.ndarray,
-                             p: CCAttentionParams, nbr: np.ndarray):
-    c = rec.v.shape[0]
-    cr = rec.q.shape[0]
-    attn = rec.attn
-
-    d_attn = np.einsum("cn,cln->ln", d_out, rec.v[:, nbr])
-    d_v = np.zeros_like(rec.v)
-    np.add.at(
-        d_v,
-        (np.arange(c)[:, None, None], nbr[None, :, :]),
-        attn[None, :, :] * d_out[:, None, :],
-    )
-
-    # softmax over the criss-cross axis
-    inner = np.sum(attn * d_attn, axis=0, keepdims=True)
-    d_scores = attn * (d_attn - inner)
-
-    d_q = np.einsum("ln,cln->cn", d_scores, rec.k[:, nbr])
-    d_k = np.zeros_like(rec.k)
-    np.add.at(
-        d_k,
-        (np.arange(cr)[:, None, None], nbr[None, :, :]),
-        d_scores[None, :, :] * rec.q[:, None, :],
-    )
-
-    d_x = (
-        d_out
-        + p.wq.weight.T @ d_q
-        + p.wk.weight.T @ d_k
-        + p.wv.weight.T @ d_v
-    )
-    grads = CCAttentionGrads(
-        d_wq=d_q @ rec.x.T, d_wk=d_k @ rec.x.T, d_wv=d_v @ rec.x.T
-    )
-    return d_x, grads
+@lru_cache(maxsize=8)
+def _axis_plan(rank: int) -> tuple:
+    """Per spatial axis m, the transposes that batch its lines: (C, *S) to
+    (others..., C, S[m]), and a (*S, z) attention block to (others..., S[m], z)."""
+    plan = []
+    for m in range(rank):
+        others = tuple(a for a in range(rank) if a != m)
+        plan.append((tuple(a + 1 for a in others) + (0, m + 1), others + (m, rank)))
+    return tuple(plan)
 
 
-def _recurrent_forward(x: np.ndarray, p: CCAttentionParams, loops: int,
-                       nbr: np.ndarray) -> tuple:
+@lru_cache(maxsize=16)
+def _duplicate_mask(spatial: tuple) -> np.ndarray:
+    """Additive (*S, sum(S)) score mask, -inf on the duplicate self entries and
+    0 elsewhere; read-only, since every call on this grid shares it."""
+    axis = np.repeat(np.arange(len(spatial)), spatial)
+    z = np.concatenate([np.arange(s) for s in spatial])
+    own = np.indices(spatial)[axis]  # (sum(S), *S): the coordinate each block walks
+    mask = np.where((axis > 0) & (np.moveaxis(own, 0, -1) == z), -np.inf, 0.0)
+    mask.setflags(write=False)
+    return mask
+
+
+def _line_scores(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Line layout of <a[:, u], b[:, v]> over v on the axis lines through u."""
+    spatial = a.shape[1:]
+    out = np.empty(spatial + (sum(spatial),), dtype=np.result_type(a, b))
+    offset = 0
+    for (to_line, att), s in zip(_axis_plan(len(spatial)), spatial):
+        np.matmul(a.transpose(to_line).swapaxes(-1, -2), b.transpose(to_line),
+                  out=out[..., offset:offset + s].transpose(att))
+        offset += s
+    return out
+
+
+def _line_apply(weights: np.ndarray, a: np.ndarray, out: np.ndarray,
+                transpose: bool = False) -> np.ndarray:
+    """out[:, u] += sum of weights[u, v] a[:, v] over v on the lines through
+    u; with ``transpose``, out[:, v] += sum of weights[u, v] a[:, u]."""
+    spatial = weights.shape[:-1]
+    offset = 0
+    for (to_line, att), s in zip(_axis_plan(len(spatial)), spatial):
+        block = weights[..., offset:offset + s].transpose(att)
+        acc = out.transpose(to_line)
+        acc += a.transpose(to_line) @ (block if transpose else block.swapaxes(-1, -2))
+        offset += s
+    return out
+
+
+def _attention_forward(x: np.ndarray, w_qkv: np.ndarray, reduced: int):
+    """One pass on a (C, *S) array; w_qkv stacks wq, wk and wv in x.dtype."""
+    spatial = x.shape[1:]
+    qkv = (w_qkv @ x.reshape(x.shape[0], -1)).reshape((-1,) + spatial)
+    q, k, v = qkv[:reduced], qkv[reduced:2 * reduced], qkv[2 * reduced:]
+    scores = _line_scores(q, k)
+    scores += _duplicate_mask(spatial)
+    attn = softmax_axis(scores, axis=-1)
+    out = _line_apply(attn, v, x.copy())
+    return out, LoopRecord(x=x, q=q, k=k, v=v, attn=attn)
+
+
+def _attention_backward(rec: LoopRecord, d_out: np.ndarray, w_qkv: np.ndarray):
+    """(d_x, gradient of the stacked weights) of one cached pass."""
+    attn, reduced = rec.attn, len(rec.q)
+    d_attn = _line_scores(d_out, rec.v)
+    # softmax over the criss-cross set; the duplicates have attn = 0
+    d_scores = attn * (d_attn - (attn * d_attn).sum(axis=-1, keepdims=True))
+    d_qkv = np.zeros((len(w_qkv),) + rec.x.shape[1:], dtype=rec.x.dtype)
+    _line_apply(d_scores, rec.k, d_qkv[:reduced])
+    _line_apply(d_scores, rec.q, d_qkv[reduced:2 * reduced], transpose=True)
+    _line_apply(attn, d_out, d_qkv[2 * reduced:], transpose=True)
+    d_qkv = d_qkv.reshape(len(w_qkv), -1)
+    d_x = d_out + (w_qkv.T @ d_qkv).reshape(d_out.shape)
+    return d_x, d_qkv @ rec.x.reshape(len(rec.x), -1).T
+
+
+def _stacked_weights(p: CCAttentionParams, dtype) -> np.ndarray:
+    return np.concatenate([p.wq.weight, p.wk.weight, p.wv.weight]).astype(dtype, copy=False)
+
+
+def _recurrent_forward(x: np.ndarray, p: CCAttentionParams, loops: int) -> tuple:
     if loops < 1:
         raise ValueError(f"loops must be >= 1, got {loops}")
     if x.shape[0] != p.channels:
         raise DimensionError(
             f"input has {x.shape[0]} channels, parameters expect {p.channels}"
         )
-    cache = ForwardCache(shape=x.shape, nbr=nbr, params=p)
-    cur = x.reshape(x.shape[0], -1)
+    # float32 stays float32 end to end; anything else computes in float64
+    if x.dtype != np.float32:
+        x = x.astype(np.float64, copy=False)
+    w_qkv = _stacked_weights(p, x.dtype)
+    cache = ForwardCache(shape=x.shape, params=p)
     for _ in range(loops):
-        cur, rec = _attention_core_forward(cur, p, nbr)
+        x, rec = _attention_forward(x, w_qkv, p.reduced_channels)
         cache.records.append(rec)
-    return cur.reshape(x.shape), cache
+    return x, cache
 
 
 def _recurrent_backward(cache: ForwardCache, d_out: np.ndarray) -> tuple:
@@ -218,17 +241,50 @@ def _recurrent_backward(cache: ForwardCache, d_out: np.ndarray) -> tuple:
         raise CacheMismatchError(
             f"gradient shape {d_out.shape} does not match cached forward {cache.shape}"
         )
-    p = cache.params
-    d = np.asarray(d_out, dtype=cache.records[0].x.dtype).reshape(d_out.shape[0], -1)
-    total = CCAttentionGrads(
-        d_wq=np.zeros_like(p.wq.weight),
-        d_wk=np.zeros_like(p.wk.weight),
-        d_wv=np.zeros_like(p.wv.weight),
-    )
+    dtype = cache.records[0].x.dtype
+    w_qkv = _stacked_weights(cache.params, dtype)
+    d, total = np.asarray(d_out, dtype=dtype), 0
     for rec in reversed(cache.records):
-        d, grads = _attention_core_backward(rec, d, p, cache.nbr)
-        total = total + grads
-    return d.reshape(cache.shape), total
+        d, d_w = _attention_backward(rec, d, w_qkv)
+        total = total + d_w
+    cr = cache.params.reduced_channels
+    return d, CCAttentionGrads(d_wq=total[:cr], d_wk=total[cr:2 * cr], d_wv=total[2 * cr:])
+
+
+def _check_rank(x: np.ndarray, layout: str) -> None:
+    if x.ndim != layout.count(",") + 1:
+        raise DimensionError(f"expected {layout} input, got rank {x.ndim}")
+
+
+def index_map_layout(a: np.ndarray) -> np.ndarray:
+    """(L, *S) copy of a line-layout array (*S, sum(S)), without the
+    duplicates and in crisscross_index_map / crisscross_index_map_3d order."""
+    spatial = a.shape[:-1]
+    size = sum(spatial) - len(spatial) + 1
+    kept = a[np.isfinite(_duplicate_mask(spatial))]
+    return kept.reshape(-1, size).T.reshape((size,) + spatial)
+
+
+def line_layout(a: np.ndarray) -> np.ndarray:
+    """Inverse of index_map_layout, with zeros at the duplicates."""
+    spatial = a.shape[1:]
+    out = np.zeros(spatial + (sum(spatial),), dtype=a.dtype)
+    out[np.isfinite(_duplicate_mask(spatial))] = a.reshape(a.shape[0], -1).T.ravel()
+    return out
+
+
+def attention_mass(cache: ForwardCache, u: tuple) -> list:
+    """Per loop l, row u of the product of the position-to-position attention
+    matrices of loops l..1 (residual paths excluded), carried back one loop
+    at a time through the line-layout attention: no N x N matrix is formed."""
+    maps = []
+    for loop in range(1, cache.loops + 1):
+        mass = np.zeros((1,) + cache.shape[1:])
+        mass[(0,) + tuple(u)] = 1.0
+        for rec in reversed(cache.records[:loop]):
+            mass = _line_apply(rec.attn, mass, np.zeros_like(mass), transpose=True)
+        maps.append(mass[0])
+    return maps
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +294,8 @@ def affinity2d(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Unscaled criss-cross dot-product scores, shape (H+W-1, H, W)."""
     if q.shape != k.shape:
         raise DimensionError(f"query shape {q.shape} != key shape {k.shape}")
-    _, h, w = q.shape
-    nbr = build_gather_table_2d(h, w)
-    q2 = q.reshape(q.shape[0], -1)
-    k2 = k.reshape(k.shape[0], -1)
-    scores = np.einsum("cn,cln->ln", q2, k2[:, nbr])
-    return scores.reshape(h + w - 1, h, w)
+    _check_rank(q, "(C, H, W)")
+    return index_map_layout(_line_scores(q, k))
 
 
 def aggregate2d(a: np.ndarray, v: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -256,28 +308,20 @@ def aggregate2d(a: np.ndarray, v: np.ndarray, h: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"attention shape {a.shape} incompatible with grid {hh}x{ww}"
         )
-    nbr = build_gather_table_2d(hh, ww)
-    a2 = a.reshape(a.shape[0], -1)
-    v2 = v.reshape(v.shape[0], -1)
-    out = np.einsum("ln,cln->cn", a2, v2[:, nbr]) + h.reshape(h.shape[0], -1)
-    return out.reshape(h.shape)
+    return _line_apply(line_layout(a), v, h.astype(np.result_type(a, v, h)))
 
 
 def cca_forward(h: np.ndarray, p: CCAttentionParams) -> tuple:
     """Single criss-cross attention pass on a (C, H, W) map; returns
     (output, cache) where the cache feeds cca_backward."""
-    if h.ndim != 3:
-        raise DimensionError(f"expected (C, H, W) input, got rank {h.ndim}")
-    nbr = build_gather_table_2d(h.shape[1], h.shape[2])
-    return _recurrent_forward(h, p, 1, nbr)
+    _check_rank(h, "(C, H, W)")
+    return _recurrent_forward(h, p, 1)
 
 
 def rcca_forward(x: np.ndarray, p: CCAttentionParams, r: int) -> tuple:
     """r recurrent passes with the single shared parameter set."""
-    if x.ndim != 3:
-        raise DimensionError(f"expected (C, H, W) input, got rank {x.ndim}")
-    nbr = build_gather_table_2d(x.shape[1], x.shape[2])
-    return _recurrent_forward(x, p, r, nbr)
+    _check_rank(x, "(C, H, W)")
+    return _recurrent_forward(x, p, r)
 
 
 def cca_backward(cache: ForwardCache, d_out: np.ndarray) -> tuple:

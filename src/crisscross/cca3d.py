@@ -1,21 +1,20 @@
 """3D criss-cross attention over (C, T, H, W) volumes.
 
-Reuses the gather-table core from the 2D module; only the neighbor
-enumeration differs: the criss-cross set of u = (t, x, y) is the set of
-positions sharing at least two of u's three coordinates, size T+H+W-2.
+Runs the rank-generic axial engine of the 2D module. The criss-cross set of
+u = (t, x, y), the positions sharing at least two of u's coordinates
+(T+H+W-2), is the union of u's three axis lines; at T=1 the temporal line is
+u alone, so the operator reduces to the 2D one by construction.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from .cca2d import (
     CCAttentionParams,
-    ForwardCache,
+    _check_rank,
+    _gather_table,
     _recurrent_backward,
     _recurrent_forward,
 )
-from .tensor_core import DimensionError
 
 
 def crisscross_index_map_3d(u: tuple, i: int, t: int, h: int, w: int) -> tuple:
@@ -42,39 +41,21 @@ def crisscross_index_map_3d(u: tuple, i: int, t: int, h: int, w: int) -> tuple:
     return (ut, ux, cols[i])
 
 
-def build_gather_table_3d(t: int, h: int, w: int) -> np.ndarray:
-    L = t + h + w - 2
-    n = t * h * w
-    nbr = np.empty((L, n), dtype=np.int64)
-    for tt in range(t):
-        for xx in range(h):
-            for yy in range(w):
-                pos = (tt * h + xx) * w + yy
-                for i in range(L):
-                    a, b, c = crisscross_index_map_3d((tt, xx, yy), i, t, h, w)
-                    nbr[i, pos] = (a * h + b) * w + c
-    return nbr
+def build_gather_table_3d(t: int, h: int, w: int):
+    """nbr[i, n]: flat index of the i-th 3D criss-cross neighbor of flat position n."""
+    return _gather_table((t, h, w))
 
 
-def cca3d_forward(h: np.ndarray, p: CCAttentionParams) -> tuple:
+def cca3d_forward(h, p: CCAttentionParams) -> tuple:
     """Single 3D criss-cross pass on a (C, T, H, W) volume."""
-    if h.ndim != 4:
-        raise DimensionError(f"expected (C, T, H, W) input, got rank {h.ndim}")
-    nbr = build_gather_table_3d(*h.shape[1:])
-    return _recurrent_forward(h, p, 1, nbr)
+    _check_rank(h, "(C, T, H, W)")
+    return _recurrent_forward(h, p, 1)
 
 
-def rcca3d_forward(x: np.ndarray, p: CCAttentionParams, r: int) -> tuple:
+def rcca3d_forward(x, p: CCAttentionParams, r: int) -> tuple:
     """r recurrent 3D passes with one shared parameter set."""
-    if x.ndim != 4:
-        raise DimensionError(f"expected (C, T, H, W) input, got rank {x.ndim}")
-    nbr = build_gather_table_3d(*x.shape[1:])
-    return _recurrent_forward(x, p, r, nbr)
+    _check_rank(x, "(C, T, H, W)")
+    return _recurrent_forward(x, p, r)
 
 
-def cca3d_backward(cache: ForwardCache, d_out: np.ndarray) -> tuple:
-    return _recurrent_backward(cache, d_out)
-
-
-def rcca3d_backward(cache: ForwardCache, d_out: np.ndarray) -> tuple:
-    return _recurrent_backward(cache, d_out)
+cca3d_backward = rcca3d_backward = _recurrent_backward

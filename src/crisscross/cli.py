@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .cca2d import CCAttentionParams, rcca_forward
+from .cca2d import CCAttentionParams, attention_mass, rcca_forward
 from .costmodel import WorkloadSpec, flops_cc2d, flops_cc3d, flops_nonlocal, render_report
 from .gradcheck import default_suite
 from .losses import CCLConfig
@@ -146,21 +146,11 @@ def cmd_attn_dump(args) -> int:
     rng = np.random.default_rng(_default_seed())
     p = CCAttentionParams.random(c, max(1, c // 2), rng)
     _out, cache = rcca_forward(x.astype(_dtype(args)), p, args.loops)
-    n = h * w
-    u = row * w + col
-    # per-loop position-to-position attention matrix (no residual: the dump
-    # shows where attention mass comes from, not the identity path)
-    transition = np.eye(n)
-    for loop, rec in enumerate(cache.records, start=1):
-        p_mat = np.zeros((n, n))
-        np.add.at(p_mat, (np.arange(n)[None, :].repeat(cache.nbr.shape[0], 0),
-                          cache.nbr), rec.attn)
-        transition = p_mat @ transition
-        mass = transition[u].reshape(h, w)
+    # the dump shows where attention mass comes from, not the identity path
+    for loop, mass in enumerate(attention_mass(cache, (row, col)), start=1):
         _write_pgm(f"{args.out}_loop{loop}.pgm", mass)
         with open(f"{args.out}_loop{loop}.csv", "w") as f:
-            for r in range(h):
-                f.write(",".join(f"{mass[r, cc]:.12g}" for cc in range(w)) + "\r\n")
+            f.writelines(",".join(f"{v:.12g}" for v in line) + "\r\n" for line in mass)
     print(f"wrote {args.loops} attention-mass maps for position "
           f"({row},{col}) to {args.out}_loop*.{{pgm,csv}}")
     return 0
@@ -222,9 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
         target.add_argument(
             "--single-thread", action="store_true",
             default=False if with_defaults else argparse.SUPPRESS,
-            help="disable internal worker parallelism for bit-exact "
-                 "reproduction (computation is single-threaded already; "
-                 "accepted for CI)")
+            help="accepted for CI; changes nothing (BLAS threads follow "
+                 "OPENBLAS_NUM_THREADS / OMP_NUM_THREADS at startup)")
         target.add_argument(
             "--format", choices=("md", "csv"),
             default="md" if with_defaults else argparse.SUPPRESS,

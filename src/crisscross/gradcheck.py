@@ -80,16 +80,9 @@ def check_attention(seed: int, shape: tuple, channels: int, reduced: int,
     out, cache = forward(x, p, loops)
     d_x, gw = backward(cache, 2.0 * out)
 
-    fd_x = _fd_scalar(loss, x, step)
-    fd_wq = _fd_scalar(loss, p.wq.weight, step)
-    fd_wk = _fd_scalar(loss, p.wk.weight, step)
-    fd_wv = _fd_scalar(loss, p.wv.weight, step)
-    err, coord = _worst([
-        ("input", d_x, fd_x),
-        ("wq", gw.d_wq, fd_wq),
-        ("wk", gw.d_wk, fd_wk),
-        ("wv", gw.d_wv, fd_wv),
-    ])
+    fds = [_fd_scalar(loss, a, step) for a in (x, p.wq.weight, p.wk.weight, p.wv.weight)]
+    err, coord = _worst(zip(("input", "wq", "wk", "wv"),
+                            (d_x, gw.d_wq, gw.d_wk, gw.d_wv), fds))
     dims = "x".join(map(str, shape))
     kind = "rcca2d" if len(shape) == 2 else "rcca3d"
     return CheckResult(f"{kind}[{dims},R={loops},seed={seed}]", err, coord, 1)

@@ -59,61 +59,46 @@ def _softmax_naive(col, counter: OpCounter | None):
     return out
 
 
-def cca_naive(h: np.ndarray, p: CCAttentionParams,
-              counter: OpCounter | None = None) -> np.ndarray:
-    """Scalar-loop 2D criss-cross attention, definitionally following the
-    affinity/softmax/aggregation pipeline position by position."""
-    c, hh, ww = h.shape
+def _crisscross_naive(h: np.ndarray, p: CCAttentionParams, index_map,
+                      counter: OpCounter | None) -> np.ndarray:
+    """Scalar-loop criss-cross attention, definitionally following the
+    affinity/softmax/aggregation pipeline position by position over the set
+    that ``index_map(u, i, *extents)`` enumerates."""
+    c, *extents = h.shape
     q = _project_naive(h, p.wq.weight, counter, "projections")
     k = _project_naive(h, p.wk.weight, counter, "projections")
     v = _project_naive(h, p.wv.weight, counter, "projections")
-    L = hh + ww - 1
+    size = sum(extents) - len(extents) + 1
     out = np.zeros_like(h)
-    for r in range(hh):
-        for col in range(ww):
-            scores = []
-            for i in range(L):
-                rr, cc = crisscross_index_map((r, col), i, hh, ww)
-                acc = 0.0
-                for ch in range(q.shape[0]):
-                    acc += q[ch, r, col] * k[ch, rr, cc]
-                    if counter is not None:
-                        counter.affinity += 2
-                scores.append(acc)
-            attn = _softmax_naive(scores, counter)
-            for ch in range(c):
-                acc = 0.0
-                for i in range(L):
-                    rr, cc = crisscross_index_map((r, col), i, hh, ww)
-                    acc += attn[i] * v[ch, rr, cc]
-                    if counter is not None:
-                        counter.aggregation += 2
-                out[ch, r, col] = acc + h[ch, r, col]
-                if counter is not None:
-                    counter.aggregation += 1  # residual add
+    for u in np.ndindex(*extents):
+        nbrs = [index_map(u, i, *extents) for i in range(size)]
+        scores = []
+        for nb in nbrs:
+            acc = 0.0
+            for ch in range(q.shape[0]):
+                acc += q[(ch,) + u] * k[(ch,) + nb]
+            scores.append(acc)
+        attn = _softmax_naive(scores, counter)
+        for ch in range(c):
+            acc = 0.0
+            for a, nb in zip(attn, nbrs):
+                acc += a * v[(ch,) + nb]
+            out[(ch,) + u] = acc + h[(ch,) + u]
+        if counter is not None:
+            counter.affinity += 2 * q.shape[0] * size
+            counter.aggregation += c * (2 * size + 1)  # residual add included
     return out
+
+
+def cca_naive(h: np.ndarray, p: CCAttentionParams,
+              counter: OpCounter | None = None) -> np.ndarray:
+    """Scalar-loop 2D criss-cross attention."""
+    return _crisscross_naive(h, p, crisscross_index_map, counter)
 
 
 def cca3d_naive(h: np.ndarray, p: CCAttentionParams) -> np.ndarray:
     """Scalar-loop 3D criss-cross attention."""
-    c, tt, hh, ww = h.shape
-    q = _project_naive(h, p.wq.weight, None, "projections")
-    k = _project_naive(h, p.wk.weight, None, "projections")
-    v = _project_naive(h, p.wv.weight, None, "projections")
-    L = tt + hh + ww - 2
-    out = np.zeros_like(h)
-    for u in np.ndindex(tt, hh, ww):
-        scores = []
-        for i in range(L):
-            nb = crisscross_index_map_3d(u, i, tt, hh, ww)
-            scores.append(float(np.dot(q[(slice(None),) + u], k[(slice(None),) + nb])))
-        attn = _softmax_naive(scores, None)
-        acc = h[(slice(None),) + u].astype(np.float64).copy()
-        for i in range(L):
-            nb = crisscross_index_map_3d(u, i, tt, hh, ww)
-            acc = acc + attn[i] * v[(slice(None),) + nb]
-        out[(slice(None),) + u] = acc
-    return out
+    return _crisscross_naive(h, p, crisscross_index_map_3d, None)
 
 
 def nonlocal_forward(h: np.ndarray, p: CCAttentionParams) -> np.ndarray:

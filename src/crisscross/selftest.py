@@ -14,6 +14,7 @@ from .cca2d import (
     CCAttentionParams,
     build_gather_table_2d,
     cca_forward,
+    index_map_layout,
     rcca_forward,
     _recurrent_forward,
 )
@@ -36,10 +37,11 @@ def _rel_diff(a: np.ndarray, b: np.ndarray) -> float:
 
 def suite_oracle_equivalence(seed: int = 0, cases_2d: int = 12, cases_3d: int = 4,
                              gather_builder_2d=None) -> SuiteResult:
-    """Vectorized forward vs scalar-loop naive reference, 1e-9 relative.
+    """Axial engine vs scalar-loop naive reference, 1e-9 relative.
 
-    ``gather_builder_2d`` is a fault-injection hook: substituting a corrupted
-    index-table builder must make this suite fail.
+    ``gather_builder_2d`` is a fault-injection hook: every 2D case also
+    aggregates the engine's cached attention through the builder's table, so
+    substituting a corrupted index-table builder must make this suite fail.
     """
     builder = gather_builder_2d or build_gather_table_2d
     rng = np.random.default_rng(seed)
@@ -51,8 +53,12 @@ def suite_oracle_equivalence(seed: int = 0, cases_2d: int = 12, cases_3d: int = 
         cr = int(rng.integers(1, c))
         p = CCAttentionParams.random(c, cr, rng)
         x = rng.normal(0.0, 1.0, (c, h, w))
-        fast, _ = _recurrent_forward(x, p, 1, builder(h, w))
-        worst = max(worst, _rel_diff(fast, cca_naive(x, p)))
+        fast, cache = _recurrent_forward(x, p, 1)
+        rec, table = cache.records[0], builder(h, w)
+        attn = index_map_layout(rec.attn).reshape(table.shape)
+        via_table = np.einsum("ln,cln->cn", attn, rec.v.reshape(c, -1)[:, table])
+        worst = max(worst, _rel_diff(fast, cca_naive(x, p)),
+                    _rel_diff(via_table.reshape(x.shape) + x, fast))
     for _ in range(cases_3d):
         t, h, w = (int(rng.integers(1, 4)) for _ in range(3))
         c = int(rng.integers(2, 4))
@@ -72,7 +78,8 @@ def suite_normalization(seed: int = 0, cases: int = 8) -> SuiteResult:
         p = CCAttentionParams.random(c, 2, rng)
         x = rng.normal(0.0, 3.0, (c, h, w))
         _, cache = cca_forward(x, p)
-        sums = cache.records[0].attn.sum(axis=0)
+        # over the H+W-1 set only: also fails if a duplicate keeps weight
+        sums = index_map_layout(cache.records[0].attn).sum(axis=0)
         worst = max(worst, float(np.abs(sums - 1.0).max()))
     return SuiteResult("normalization", worst < 1e-9,
                        f"max |sum - 1| = {worst:.3e}")
@@ -107,7 +114,10 @@ def suite_propagation(seed: int = 0, h: int = 3, w: int = 4) -> SuiteResult:
     """R=1 influence equals the criss-cross mask exactly; R=2 is all-dense."""
     rng = np.random.default_rng(seed)
     c = 3
-    p = CCAttentionParams.random(c, 2, rng)
+    # Weights at scale 0.5 saturate the softmax at some seeds (100041, 100175,
+    # 100375): a true two-hop sensitivity of ~3e-13 then reads as 0 under
+    # finite differences, below the 1e-12 threshold. Scale 0.3 does not.
+    p = CCAttentionParams.random(c, 2, rng, scale=0.3)
     x = rng.normal(0.0, 1.0, (c, h, w))
     pat1 = influence_scan(lambda y: rcca_forward(y, p, 1)[0], x)
     pat2 = influence_scan(lambda y: rcca_forward(y, p, 2)[0], x)

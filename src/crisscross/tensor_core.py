@@ -75,9 +75,9 @@ def softmax_axis(x: np.ndarray, axis: int) -> np.ndarray:
     x = np.asarray(x)
     if not -x.ndim <= axis < x.ndim:
         raise IndexError(f"softmax axis {axis} out of range for rank-{x.ndim} tensor")
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 _MAGIC = b"CCT1"

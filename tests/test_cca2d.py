@@ -4,7 +4,6 @@ import pytest
 from crisscross.cca2d import (
     CCAttentionParams,
     CacheMismatchError,
-    RCCAConfig,
     affinity2d,
     aggregate2d,
     cca_backward,
@@ -149,7 +148,7 @@ class TestForward:
         x = rng.normal(size=(4, 5, 3))
         _, cache = cca_forward(x, p)
         attn = cache.records[0].attn
-        assert np.abs(attn.sum(axis=0) - 1.0).max() < 1e-9
+        assert np.abs(attn.sum(axis=-1) - 1.0).max() < 1e-9
         assert attn.min() >= 0.0 and attn.max() <= 1.0
 
     def test_output_shape_preserved(self):
@@ -241,13 +240,6 @@ class TestBackward:
 
 
 class TestConfig:
-    def test_rcca_config_validation(self):
-        RCCAConfig(loops=2, channels=8, reduced_channels=4)
-        with pytest.raises(ValueError):
-            RCCAConfig(loops=0, channels=8, reduced_channels=4)
-        with pytest.raises(ValueError):
-            RCCAConfig(loops=1, channels=4, reduced_channels=4)
-
     def test_params_reject_wide_reduction(self):
         rng = np.random.default_rng(0)
         with pytest.raises(DimensionError):

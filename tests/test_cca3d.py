@@ -76,7 +76,7 @@ class TestForward3D:
         x = np.random.default_rng(4).normal(size=(3, 2, 2, 3))
         _, cache = cca3d_forward(x, p)
         attn = cache.records[0].attn
-        assert np.abs(attn.sum(axis=0) - 1.0).max() < 1e-9
+        assert np.abs(attn.sum(axis=-1) - 1.0).max() < 1e-9
 
 
 class TestRecurrent3D:

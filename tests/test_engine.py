@@ -1,0 +1,191 @@
+"""The axial engine: line-layout attention, degenerate grids, float32, and
+the attention-mass propagation, each against an independent reference."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from crisscross.cca2d import (
+    CCAttentionParams,
+    attention_mass,
+    build_gather_table_2d,
+    cca_forward,
+    crisscross_index_map,
+    index_map_layout,
+    line_layout,
+    rcca_backward,
+    rcca_forward,
+)
+from crisscross.cca3d import (
+    build_gather_table_3d,
+    cca3d_forward,
+    crisscross_index_map_3d,
+    rcca3d_backward,
+    rcca3d_forward,
+)
+from crisscross.gradcheck import check_attention
+from crisscross.oracles import cca3d_naive, cca_naive
+
+F32_RTOL = 1e-4  # float32 engine against the float64 oracle, relative to max |ref|
+
+
+def rel_diff(a, b):
+    return float(np.abs(a - b).max()) / max(1e-30, float(np.abs(b).max()))
+
+
+def forward_and_oracle(shape, seed, reduced=None):
+    rng = np.random.default_rng(seed)
+    c = shape[0]
+    p = CCAttentionParams.random(c, reduced or c - 1, rng)
+    x = rng.normal(size=shape)
+    if len(shape) == 3:
+        out, cache = cca_forward(x, p)
+        return out, cache, cca_naive(x, p)
+    out, cache = cca3d_forward(x, p)
+    return out, cache, cca3d_naive(x, p)
+
+
+def assert_rows_normalized(attn):
+    assert np.abs(attn.sum(axis=-1) - 1.0).max() < 1e-9
+    assert np.abs(index_map_layout(attn).sum(axis=0) - 1.0).max() < 1e-9
+    assert attn.min() >= 0.0
+
+
+class TestGatherTables:
+    def test_2d_table_matches_index_map(self):
+        for h in range(1, 5):
+            for w in range(1, 5):
+                expect = [[np.ravel_multi_index(crisscross_index_map(u, i, h, w), (h, w))
+                           for u in np.ndindex(h, w)] for i in range(h + w - 1)]
+                assert np.array_equal(build_gather_table_2d(h, w), expect)
+
+    def test_3d_table_matches_index_map(self):
+        for dims in np.ndindex(3, 3, 3):
+            t, h, w = (d + 1 for d in dims)
+            expect = [[np.ravel_multi_index(crisscross_index_map_3d(u, i, t, h, w), (t, h, w))
+                       for u in np.ndindex(t, h, w)] for i in range(t + h + w - 2)]
+            assert np.array_equal(build_gather_table_3d(t, h, w), expect)
+
+
+class TestLayouts:
+    def test_round_trip_and_zero_duplicates(self):
+        rng = np.random.default_rng(0)
+        for spatial in ((3, 4), (1, 5), (4, 1), (2, 3, 2)):
+            a = rng.normal(size=(sum(spatial) - len(spatial) + 1,) + spatial)
+            full = line_layout(a)
+            assert full.shape == spatial + (sum(spatial),)
+            assert np.array_equal(index_map_layout(full), a)
+            assert np.count_nonzero(full == 0.0) == (len(spatial) - 1) * a[0].size
+
+    def test_cached_attention_is_zero_on_duplicates(self):
+        _, cache, _ = forward_and_oracle((4, 3, 5), seed=1)
+        attn = cache.records[0].attn
+        assert np.array_equal(line_layout(index_map_layout(attn)), attn)
+
+
+class TestDegenerateGrids:
+    @pytest.mark.parametrize("shape", [(4, 1, 1), (4, 1, 6), (4, 5, 1)])
+    def test_2d_matches_oracle_and_normalizes(self, shape):
+        out, cache, ref = forward_and_oracle(shape, seed=sum(shape))
+        assert rel_diff(out, ref) < 1e-9
+        assert_rows_normalized(cache.records[0].attn)
+
+    @pytest.mark.parametrize("shape", [(3, 1, 3, 4), (3, 2, 1, 4), (3, 2, 3, 1),
+                                       (3, 1, 1, 1)])
+    def test_3d_matches_oracle_and_normalizes(self, shape):
+        out, cache, ref = forward_and_oracle(shape, seed=sum(shape))
+        assert rel_diff(out, ref) < 1e-9
+        assert_rows_normalized(cache.records[0].attn)
+
+    @pytest.mark.parametrize("shape", [(1, 5), (4, 1)])
+    def test_gradcheck_on_single_line(self, shape):
+        res = check_attention(7, shape, channels=4, reduced=2, loops=2)
+        assert res.max_rel_err < 1e-5, res.worst_coordinate
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_engine_matches_oracle_on_random_shapes(data):
+    rank = data.draw(st.sampled_from([2, 3]))
+    limit = 5 if rank == 2 else 3
+    spatial = tuple(data.draw(st.integers(1, limit)) for _ in range(rank))
+    c = data.draw(st.integers(2, 4))
+    reduced = data.draw(st.integers(1, c - 1))
+    out, cache, ref = forward_and_oracle((c,) + spatial,
+                                         seed=data.draw(st.integers(0, 2**32 - 1)),
+                                         reduced=reduced)
+    assert rel_diff(out, ref) < 1e-9
+    assert_rows_normalized(cache.records[0].attn)
+
+
+class TestFloat32:
+    @pytest.mark.parametrize("shape", [(4, 3, 5), (3, 2, 3, 2)])
+    def test_stays_float32_and_matches_float64(self, shape):
+        rng = np.random.default_rng(3)
+        p = CCAttentionParams.random(shape[0], 2, rng)
+        x = rng.normal(size=shape)
+        d_out = rng.normal(size=shape)
+        fwd, bwd = ((rcca_forward, rcca_backward) if len(shape) == 3
+                    else (rcca3d_forward, rcca3d_backward))
+        out64, cache64 = fwd(x, p, 2)
+        out32, cache32 = fwd(x.astype(np.float32), p, 2)
+        assert out32.dtype == np.float32
+        assert all(a.dtype == np.float32 for rec in cache32.records
+                   for a in (rec.x, rec.q, rec.k, rec.v, rec.attn))
+        once = (cca_naive if len(shape) == 3 else cca3d_naive)(x, p)
+        twice = (cca_naive if len(shape) == 3 else cca3d_naive)(once, p)
+        assert rel_diff(out32, twice) < F32_RTOL
+
+        d64, g64 = bwd(cache64, d_out)
+        d32, g32 = bwd(cache32, d_out.astype(np.float32))
+        assert d32.dtype == g32.d_wq.dtype == g32.d_wk.dtype == g32.d_wv.dtype == np.float32
+        assert rel_diff(d32, d64) < F32_RTOL
+        for a, b in ((g32.d_wq, g64.d_wq), (g32.d_wk, g64.d_wk), (g32.d_wv, g64.d_wv)):
+            assert rel_diff(a, b) < F32_RTOL
+
+    def test_paper_shape_forward_backward(self):
+        # 97x97, C=512, C'=64, R=2: the gathered-copy design needed ~7 GB here
+        rng = np.random.default_rng(0)
+        p = CCAttentionParams.random(512, 64, rng, scale=512 ** -0.5)
+        x = rng.normal(size=(512, 97, 97)).astype(np.float32)
+        out, cache = rcca_forward(x, p, 2)
+        d_x, grads = rcca_backward(cache, out)
+        for a in (out, d_x, grads.d_wq, grads.d_wk, grads.d_wv):
+            assert a.dtype == np.float32
+            assert np.isfinite(a).all()
+        assert out.shape == d_x.shape == x.shape
+
+
+class TestAttentionMass:
+    def dense_reference(self, cache, u):
+        """Row u of the per-loop products of dense N x N attention matrices,
+        scattered through the definitional gather table."""
+        spatial = cache.shape[1:]
+        n = int(np.prod(spatial))
+        table = (build_gather_table_2d(*spatial) if len(spatial) == 2
+                 else build_gather_table_3d(*spatial))
+        transition = np.eye(n)
+        maps = []
+        for rec in cache.records:
+            p_mat = np.zeros((n, n))
+            weights = index_map_layout(rec.attn).reshape(table.shape)
+            np.add.at(p_mat, (np.broadcast_to(np.arange(n), table.shape), table), weights)
+            transition = p_mat @ transition
+            maps.append(transition[np.ravel_multi_index(u, spatial)].reshape(spatial))
+        return maps
+
+    @pytest.mark.parametrize("shape,u", [((4, 5, 6), (2, 3)), ((3, 3, 4), (0, 0)),
+                                         ((3, 2, 3, 4), (1, 2, 0))])
+    def test_matches_dense_transition_product(self, shape, u):
+        rng = np.random.default_rng(11)
+        p = CCAttentionParams.random(shape[0], 1, rng)
+        x = rng.normal(size=shape)
+        fwd = rcca_forward if len(shape) == 3 else rcca3d_forward
+        _, cache = fwd(x, p, 3)
+        got = attention_mass(cache, u)
+        want = self.dense_reference(cache, u)
+        assert len(got) == 3
+        for g, w in zip(got, want):
+            assert np.abs(g - w).max() < 1e-12
+            assert abs(g.sum() - 1.0) < 1e-12
