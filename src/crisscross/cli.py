@@ -30,6 +30,12 @@ def _default_seed() -> int:
     return int(os.environ.get("CC_SEED", "0"))
 
 
+def _loop_count(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return int(text)
+
+
 def _dtype(args) -> np.dtype:
     return np.dtype(np.float32 if args.precision == "f32" else np.float64)
 
@@ -210,11 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
             default="f64" if with_defaults else argparse.SUPPRESS,
             help="scalar width for numeric subcommands")
         target.add_argument(
-            "--single-thread", action="store_true",
-            default=False if with_defaults else argparse.SUPPRESS,
-            help="accepted for CI; changes nothing (BLAS threads follow "
-                 "OPENBLAS_NUM_THREADS / OMP_NUM_THREADS at startup)")
-        target.add_argument(
             "--format", choices=("md", "csv"),
             default="md" if with_defaults else argparse.SUPPRESS,
             help="table output format")
@@ -240,13 +241,13 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("reach", parents=[common], help="information-propagation influence scan")
     r.add_argument("--h", type=int, default=4)
     r.add_argument("--w", type=int, default=5)
-    r.add_argument("--loops", type=int, default=1)
+    r.add_argument("--loops", type=_loop_count, default=1)
     r.set_defaults(fn=cmd_reach)
 
     a = sub.add_parser("attn-dump", parents=[common], help="per-position attention mass maps")
     a.add_argument("--input", required=True, help="CCT1 tensor file (C,H,W)")
     a.add_argument("--u", required=True, help="target position row,col")
-    a.add_argument("--loops", type=int, default=2)
+    a.add_argument("--loops", type=_loop_count, default=2)
     a.add_argument("--out", required=True, help="output path prefix")
     a.set_defaults(fn=cmd_attn_dump)
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .cca2d import CCAttentionParams, rcca_backward, rcca_forward
 from .cca3d import rcca3d_backward, rcca3d_forward
-from .losses import CCLConfig, ccl_loss, cross_entropy_seg
+from .losses import CCLConfig, ccl_loss, class_stats, cross_entropy_seg
 
 DEFAULT_STEP = 1e-6
 DEFAULT_TOL = 1e-5
@@ -97,23 +97,10 @@ def _safe_ccl_instance(seed: int, cr: int, h: int, w: int, cfg: CCLConfig,
         features = rng.normal(0.0, 1.0, (cr, h, w))
         labels = rng.integers(0, 3, (h, w))
         labels[0, 0] = 255  # keep the ignore path exercised
-        from .losses import class_means
-        means, _counts = class_means(features, labels)
-        safe = True
-        flat_f = features.reshape(cr, -1)
-        flat_l = labels.reshape(-1)
-        for c, mu in means.items():
-            for j in np.flatnonzero(flat_l == c):
-                d = float(np.linalg.norm(mu - flat_f[:, j]))
-                if min(abs(d - cfg.delta_v), abs(d - cfg.delta_d)) < band:
-                    safe = False
-        keys = sorted(means)
-        for i, a in enumerate(keys):
-            for b in keys[i + 1:]:
-                d = float(np.linalg.norm(means[a] - means[b]))
-                if abs(d - 2 * cfg.delta_d) < band:
-                    safe = False
-        if safe:
+        st = class_stats(features, labels)
+        near_var = np.abs(st.dist[:, None] - [cfg.delta_v, cfg.delta_d]) < band
+        near_dis = np.abs(st.centre_dist - 2 * cfg.delta_d) < band
+        if not (near_var.any() or near_dis.any()):
             return features, labels
         rng = np.random.default_rng(rng.integers(1 << 62))
     raise RuntimeError("could not sample a boundary-free CCL instance")

@@ -9,7 +9,7 @@ set to zero (measure-zero events, kept deterministic).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,52 +43,62 @@ class CCLBreakdown:
     l_var: float
     l_dis: float
     l_reg: float
-    class_means: dict = field(default_factory=dict)
+    stats: ClassStats | None = None  # the class statistics the terms came from
+
+    @property
+    def class_means(self) -> dict:
+        return dict(zip(self.stats.classes.tolist(), self.stats.means.T)) if self.stats else {}
 
     def weighted(self, cfg: CCLConfig) -> float:
         return cfg.alpha * self.l_var + cfg.beta * self.l_dis + cfg.gamma * self.l_reg
 
 
-def phi_var(dist: float, cfg: CCLConfig) -> float:
+def _distances(dist) -> np.ndarray:
+    d = np.asarray(dist)
+    negative = d[d < 0]
+    if negative.size:
+        raise ValueError(f"distance must be >= 0, got {negative[0]}")
+    return d
+
+
+def _like(out, dist):
+    """A float for a scalar distance, the array otherwise."""
+    return out if np.ndim(dist) else float(out)
+
+
+# The penalties take a scalar or an array of distances. Each branch is fed a
+# clipped distance, so no branch is evaluated outside its own interval, and
+# squares use float_power, the same C pow as Python's ``**`` on a float.
+
+def phi_var(dist, cfg: CCLConfig):
     """Distance-to-center penalty: dead zone up to delta_v, quadratic up to
     delta_d, linear beyond (or pure quadratic in the baseline variant)."""
-    if dist < 0:
-        raise ValueError(f"distance must be >= 0, got {dist}")
+    d = _distances(dist)
     dv, dd = cfg.delta_v, cfg.delta_d
-    if dist <= dv:
-        return 0.0
     if cfg.phi_variant == "quadratic":
-        return (dist - dv) ** 2
-    if dist <= dd:
-        return (dist - dv) ** 2
-    return dist - dd + (dd - dv) ** 2
+        return _like(np.float_power(np.maximum(d, dv) - dv, 2), dist)
+    return _like(np.float_power(np.clip(d, dv, dd) - dv, 2)
+                 + np.maximum(d - dd, 0.0), dist)
 
 
-def phi_var_grad(dist: float, cfg: CCLConfig) -> float:
-    if dist < 0:
-        raise ValueError(f"distance must be >= 0, got {dist}")
+def phi_var_grad(dist, cfg: CCLConfig):
+    d = _distances(dist)
     dv, dd = cfg.delta_v, cfg.delta_d
-    if dist <= dv:
-        return 0.0
-    if cfg.phi_variant == "quadratic" or dist <= dd:
-        return 2.0 * (dist - dv)
-    return 1.0
+    quad = 2.0 * (np.maximum(d, dv) - dv)
+    if cfg.phi_variant == "quadratic":
+        return _like(quad, dist)
+    return _like(np.where(d <= dd, quad, 1.0), dist)
 
 
-def phi_dis(dist: float, cfg: CCLConfig) -> float:
+def phi_dis(dist, cfg: CCLConfig):
     """Center-separation penalty: (2 delta_d - dist)^2 inside the margin,
     zero beyond."""
-    if dist < 0:
-        raise ValueError(f"distance must be >= 0, got {dist}")
-    m = 2.0 * cfg.delta_d
-    return (m - dist) ** 2 if dist <= m else 0.0
+    return _like(np.float_power(np.fmax(2.0 * cfg.delta_d - _distances(dist), 0.0), 2),
+                 dist)
 
 
-def phi_dis_grad(dist: float, cfg: CCLConfig) -> float:
-    if dist < 0:
-        raise ValueError(f"distance must be >= 0, got {dist}")
-    m = 2.0 * cfg.delta_d
-    return -2.0 * (m - dist) if dist <= m else 0.0
+def phi_dis_grad(dist, cfg: CCLConfig):
+    return _like(2.0 * np.fmin(_distances(dist) - 2.0 * cfg.delta_d, 0.0), dist)
 
 
 def _check_aligned(features: np.ndarray, labels: np.ndarray):
@@ -98,21 +108,65 @@ def _check_aligned(features: np.ndarray, labels: np.ndarray):
         )
 
 
+def _norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean lengths along axis 0, as sqrt(sum(a*a))."""
+    return np.sqrt((a * a).sum(axis=0))
+
+
+def _class_sums(values: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
+    """(C, K) sums of the (C, M) columns of ``values`` by class row."""
+    c = values.shape[0]
+    bins = (rows + k * np.arange(c)[:, None]).reshape(-1)
+    sums = np.bincount(bins, values.reshape(-1), minlength=c * k)
+    return sums.reshape(c, k).astype(np.float64, copy=False)  # int64 when empty
+
+
+def _per_length(coef, length):
+    """coef / length, and 0 where the length is 0: the gradient through a
+    zero-length offset is set to zero."""
+    return np.where(length > 0, coef, 0.0) / np.where(length > 0, length, 1.0)
+
+
+@dataclass(frozen=True)
+class ClassStats:
+    """Per-class statistics of a (C', N) feature map under its labels; the M
+    labelled positions are those without IGNORE_ID."""
+    classes: np.ndarray         # (K,) labels present, ascending, without IGNORE_ID
+    valid: np.ndarray           # (N,) True at the labelled positions
+    rows: np.ndarray            # (M,) class row of each labelled position
+    counts: np.ndarray          # (K,) positions per class
+    means: np.ndarray           # (C', K) class centres
+    offsets: np.ndarray         # (C', M) centre minus feature, per labelled position
+    dist: np.ndarray            # (M,) lengths of the offsets
+    centre_offsets: np.ndarray  # (C', K, K) means[:, a] - means[:, b]
+    centre_dist: np.ndarray     # (K, K) lengths of the centre offsets
+
+
+def class_stats(features: np.ndarray, labels: np.ndarray) -> ClassStats:
+    """One pass over the positions: class list, class rows, counts, means and
+    the distances that the loss and the toy statistics need."""
+    _check_aligned(features, labels)
+    flat_f = features.reshape(features.shape[0], -1)
+    classes, inverse = np.unique(labels.reshape(-1), return_inverse=True)
+    keep = classes != IGNORE_ID
+    rows = np.where(keep, np.cumsum(keep) - 1, -1)[inverse]  # -1 at IGNORE_ID
+    valid = rows >= 0
+    rows = rows[valid]
+    k = int(keep.sum())
+    counts = np.bincount(rows, minlength=k)
+    means = _class_sums(flat_f[:, valid], rows, k) / counts
+    offsets = means[:, rows] - flat_f[:, valid]
+    centre_offsets = means[:, :, None] - means[:, None, :]
+    return ClassStats(classes[keep], valid, rows, counts, means, offsets, _norms(offsets),
+                      centre_offsets, _norms(centre_offsets))
+
+
 def class_means(features: np.ndarray, labels: np.ndarray):
     """Per-class mean feature vectors and valid-element counts; positions with
     the ignore id are skipped, absent classes are absent from the result."""
-    _check_aligned(features, labels)
-    flat_f = features.reshape(features.shape[0], -1)
-    flat_l = labels.reshape(-1)
-    means: dict[int, np.ndarray] = {}
-    counts: dict[int, int] = {}
-    for cls in np.unique(flat_l):
-        if cls == IGNORE_ID:
-            continue
-        sel = flat_l == cls
-        means[int(cls)] = flat_f[:, sel].mean(axis=1)
-        counts[int(cls)] = int(sel.sum())
-    return means, counts
+    st = class_stats(features, labels)
+    classes = st.classes.tolist()
+    return dict(zip(classes, st.means.T)), dict(zip(classes, st.counts.tolist()))
 
 
 def ccl_loss(features: np.ndarray, labels: np.ndarray, cfg: CCLConfig,
@@ -123,68 +177,35 @@ def ccl_loss(features: np.ndarray, labels: np.ndarray, cfg: CCLConfig,
     the weighted combination alpha*l_var + beta*l_dis + gamma*l_reg with
     respect to ``features``; the class means are treated as functions of the
     features, so gradients flow through both the per-pixel and the mean path.
+    Costs O(C'*N + C'*K^2) for N positions and K classes.
     """
-    _check_aligned(features, labels)
-    means, counts = class_means(features, labels)
-    classes = sorted(means)
-    nc = len(classes)
-    flat_f = features.reshape(features.shape[0], -1)
-    flat_l = labels.reshape(-1)
+    st = class_stats(features, labels)
+    nc = st.classes.size
+    per_pixel = 1.0 / (max(nc, 1) * st.counts[st.rows])  # 1 / (K * N_c) per position
+    pairs = ~np.eye(nc, dtype=bool)  # ordered pairs a != b
+    pair_norm = max(nc * (nc - 1), 1)
+    norms = _norms(st.means)
 
-    grad = np.zeros_like(flat_f, dtype=np.float64) if want_grad else None
-    d_mu = {c: np.zeros(flat_f.shape[0]) for c in classes} if want_grad else None
-
-    l_var = 0.0
-    for c in classes:
-        sel = np.flatnonzero(flat_l == c)
-        mu = means[c]
-        term = 0.0
-        for j in sel:
-            diff = mu - flat_f[:, j]
-            dist = float(np.linalg.norm(diff))
-            term += phi_var(dist, cfg)
-            if want_grad and dist > 0:
-                g = cfg.alpha * phi_var_grad(dist, cfg) / (nc * counts[c])
-                unit = diff / dist
-                grad[:, j] -= g * unit
-                d_mu[c] += g * unit
-        l_var += term / counts[c]
-    if nc > 0:
-        l_var /= nc
-
-    l_dis = 0.0
-    if nc >= 2:
-        pair_norm = nc * (nc - 1)
-        for ia, ca in enumerate(classes):
-            for cb in classes[ia + 1:]:
-                diff = means[ca] - means[cb]
-                dist = float(np.linalg.norm(diff))
-                l_dis += 2.0 * phi_dis(dist, cfg)  # ordered double count
-                if want_grad and dist > 0:
-                    g = cfg.beta * 2.0 * phi_dis_grad(dist, cfg) / pair_norm
-                    unit = diff / dist
-                    d_mu[ca] += g * unit
-                    d_mu[cb] -= g * unit
-        l_dis /= pair_norm
-
-    l_reg = 0.0
-    for c in classes:
-        norm = float(np.linalg.norm(means[c]))
-        l_reg += norm
-        if want_grad and norm > 0:
-            d_mu[c] += cfg.gamma * means[c] / (norm * nc)
-    if nc > 0:
-        l_reg /= nc
-
-    breakdown = CCLBreakdown(l_var=l_var, l_dis=l_dis, l_reg=l_reg,
-                             class_means=means)
+    l_var = float((phi_var(st.dist, cfg) * per_pixel).sum())
+    l_dis = float(phi_dis(st.centre_dist[pairs], cfg).sum() / pair_norm)
+    l_reg = float(norms.sum() / max(nc, 1))
+    breakdown = CCLBreakdown(l_var=l_var, l_dis=l_dis, l_reg=l_reg, stats=st)
     if not want_grad:
         return breakdown
 
+    # l_var: each position pulls its centre by g * unit and itself by -g * unit
+    pull = st.offsets * _per_length(
+        cfg.alpha * phi_var_grad(st.dist, cfg) * per_pixel, st.dist)
+    d_mu = _class_sums(pull, st.rows, nc)
+    # l_dis over ordered pairs: centre a moves along mu_a - mu_b for every b
+    push = _per_length(
+        cfg.beta * 2.0 * phi_dis_grad(st.centre_dist, cfg) / pair_norm, st.centre_dist)
+    d_mu += (st.centre_offsets * push).sum(axis=2)
+    d_mu += st.means * _per_length(cfg.gamma / max(nc, 1), norms)
+
     # chain d_mu back to features: d mu_c / d h_j = I / N_c for j labeled c
-    for c in classes:
-        sel = flat_l == c
-        grad[:, sel] += (d_mu[c] / counts[c])[:, None]
+    grad = np.zeros((features.shape[0], st.valid.size))
+    grad[:, st.valid] = (d_mu / st.counts)[:, st.rows] - pull
     return breakdown, grad.reshape(features.shape)
 
 

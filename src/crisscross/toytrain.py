@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cca2d import CCAttentionParams, rcca_backward, rcca_forward
-from .losses import CCLConfig, ccl_loss, cross_entropy_seg, total_loss
+from .losses import CCLConfig, ClassStats, ccl_loss, cross_entropy_seg, total_loss
 from .tensor_core import ProjectionWeights
 
 CLASS_MARGIN = 1.5
@@ -108,25 +108,13 @@ def gen_toy(seed: int, n: int, h: int, w: int, k: int) -> ToyTask:
     return ToyTask(images=images, labels=labels, num_classes=k, seed=seed)
 
 
-def _feature_stats(feats: np.ndarray, labels: np.ndarray) -> tuple:
+def _feature_stats(st: ClassStats) -> tuple:
     """(mean within-class squared distance to center, mean pairwise center
     distance) over the classes present."""
-    flat_f = feats.reshape(feats.shape[0], -1)
-    flat_l = labels.reshape(-1)
-    classes = [c for c in np.unique(flat_l) if c != 255]
-    intra = []
-    centers = []
-    for c in classes:
-        sel = flat_l == c
-        mu = flat_f[:, sel].mean(axis=1)
-        centers.append(mu)
-        intra.append(float(((flat_f[:, sel] - mu[:, None]) ** 2).sum(axis=0).mean()))
-    inter = 0.0
-    if len(centers) >= 2:
-        dists = [float(np.linalg.norm(a - b))
-                 for i, a in enumerate(centers) for b in centers[i + 1:]]
-        inter = sum(dists) / len(dists)
-    return (sum(intra) / len(intra) if intra else 0.0), inter
+    k = st.classes.size
+    sq = np.bincount(st.rows, (st.offsets * st.offsets).sum(axis=0), minlength=k)
+    pairs = st.centre_dist[np.triu_indices(k, 1)]
+    return float((sq / st.counts).sum() / max(k, 1)), float(pairs.sum() / max(pairs.size, 1))
 
 
 def _forward_batch(model: ToyModel, task: ToyTask):
@@ -187,7 +175,7 @@ def train_toy(task: ToyTask, init_seed: int, epochs: int, use_ccl: bool,
         total = total_loss(seg, ccl, cfg) if use_ccl else seg
 
         acc = float((cat_z.argmax(axis=0) == cat_l).mean())
-        intra, inter = _feature_stats(cat_f, cat_l)
+        intra, inter = _feature_stats(ccl.stats)
 
         grads = {name: np.zeros_like(arr) for name, arr in (
             ("w_in", model.w_in), ("wq", model.attention.wq.weight),

@@ -91,6 +91,13 @@ class TestReach:
         assert code == 2
         assert "too large" in err
 
+    @pytest.mark.parametrize("loops", ["0", "-1"])
+    def test_loop_count_below_one_exits_2(self, capsys, loops):
+        with pytest.raises(SystemExit) as exc:
+            main(["reach", "--h", "3", "--w", "3", "--loops", loops])
+        assert exc.value.code == 2
+        assert "--loops: must be >= 1" in capsys.readouterr().err
+
 
 class TestAttnDump:
     @pytest.fixture
@@ -163,6 +170,16 @@ class TestAttnDump:
         assert code == 2
         assert "outside" in err
 
+    @pytest.mark.parametrize("loops", ["0", "-2"])
+    def test_loop_count_below_one_exits_2(self, capsys, tmp_path, tensor_file,
+                                          loops):
+        with pytest.raises(SystemExit) as exc:
+            main(["attn-dump", "--input", str(tensor_file), "--u", "1,1",
+                  "--loops", loops, "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "--loops: must be >= 1" in capsys.readouterr().err
+        assert not list(tmp_path.glob("x_loop*"))
+
     def test_bad_file_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.cct"
         bad.write_bytes(b"not a tensor")
@@ -226,3 +243,11 @@ class TestGlobalFlags:
             code, out, _ = run(capsys, *argv)
             assert code == 0
             assert out.startswith("method,")
+
+    @pytest.mark.parametrize("argv", [["--single-thread", "selftest"],
+                                      ["bench", "--single-thread"]])
+    def test_single_thread_flag_removed(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--single-thread" in capsys.readouterr().err

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from crisscross.losses import CCLConfig
-from crisscross.toytrain import CLASS_MARGIN, gen_toy, train_toy
+from crisscross.losses import IGNORE_ID, CCLConfig, class_stats
+from crisscross.toytrain import CLASS_MARGIN, _feature_stats, gen_toy, train_toy
 
 CFG = CCLConfig()
 
@@ -35,6 +35,24 @@ class TestGenToy:
             gen_toy(0, n=1, h=10, w=10, k=1)
 
 
+class TestFeatureStats:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_per_class_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        feats = rng.normal(size=(4, 5, 6))
+        labels = rng.choice([0, 2, 5, IGNORE_ID], (5, 6))
+        flat_f, flat_l = feats.reshape(4, -1), labels.reshape(-1)
+        centers, intra = [], []
+        for c in sorted(set(flat_l.tolist()) - {IGNORE_ID}):
+            members = flat_f[:, flat_l == c]
+            centers.append(members.mean(axis=1))
+            intra.append(((members - centers[-1][:, None]) ** 2).sum(axis=0).mean())
+        inter = [np.linalg.norm(a - b) for i, a in enumerate(centers) for b in centers[i + 1:]]
+        got = _feature_stats(class_stats(feats, labels))
+        assert got == pytest.approx((np.mean(intra), np.mean(inter) if inter else 0.0),
+                                    rel=1e-12)
+
+
 class TestTrainToy:
     def test_zero_epochs_reports_untrained_model(self):
         task = gen_toy(0, n=1, h=8, w=8, k=2)
@@ -65,3 +83,14 @@ class TestTrainToy:
         task = gen_toy(0, n=1, h=8, w=8, k=2)
         with pytest.raises(ValueError):
             train_toy(task, init_seed=0, epochs=-1, use_ccl=False, cfg=CFG)
+
+    @pytest.mark.parametrize("seed", [102, 141])
+    def test_piecewise_divergence_is_recorded(self, seed):
+        # these two seeds diverge under the piecewise penalty; the epoch is
+        # left free, since summation order can move it by one
+        task = gen_toy(seed, 2, 12, 12, 3)
+        res = train_toy(task, init_seed=seed + 1000, epochs=60, use_ccl=True,
+                        cfg=CCLConfig(phi_variant="piecewise"))
+        assert res.failed
+        assert 0 < res.fail_epoch <= 60
+        assert len(res.metrics) == res.fail_epoch
