@@ -8,7 +8,6 @@ from .tensor_core import (
     TensorFormatError,
     TensorLengthError,
     load_tensor,
-    pointwise_project,
     save_tensor,
     softmax_axis,
 )
@@ -16,21 +15,11 @@ from .cca2d import (
     CCAttentionGrads,
     CCAttentionParams,
     ForwardCache,
-    cca_backward,
-    cca_forward,
     crisscross_index_map,
-    affinity2d,
-    aggregate2d,
     rcca_backward,
     rcca_forward,
 )
-from .cca3d import (
-    cca3d_backward,
-    cca3d_forward,
-    crisscross_index_map_3d,
-    rcca3d_backward,
-    rcca3d_forward,
-)
+from .cca3d import crisscross_index_map_3d
 from .losses import (
     CCLBreakdown,
     CCLConfig,
@@ -56,24 +45,15 @@ __all__ = [
     "TensorFormatError",
     "TensorLengthError",
     "load_tensor",
-    "pointwise_project",
     "save_tensor",
     "softmax_axis",
     "CCAttentionGrads",
     "CCAttentionParams",
     "ForwardCache",
-    "cca_backward",
-    "cca_forward",
     "crisscross_index_map",
-    "affinity2d",
-    "aggregate2d",
     "rcca_backward",
     "rcca_forward",
-    "cca3d_backward",
-    "cca3d_forward",
     "crisscross_index_map_3d",
-    "rcca3d_backward",
-    "rcca3d_forward",
     "CCLBreakdown",
     "CCLConfig",
     "ccl_loss",

@@ -1,19 +1,20 @@
 """3D criss-cross attention over (C, T, H, W) volumes.
 
-Runs the rank-generic axial engine of the 2D module. The criss-cross set of
-u = (t, x, y), the positions sharing at least two of u's coordinates
-(T+H+W-2), is the union of u's three axis lines; at T=1 the temporal line is
-u alone, so the operator reduces to the 2D one by construction.
+The entry points of the 2D module take volumes too; the names below are
+aliases of them. The criss-cross set of u = (t, x, y), the positions sharing
+at least two of u's coordinates (T+H+W-2), is the union of u's three axis
+lines; at T=1 the temporal line is u alone, so the operator reduces to the
+2D one by construction.
 """
 
 from __future__ import annotations
 
-from .cca2d import (
+from .cca2d import (  # noqa: F401  (CCAttentionParams is re-exported)
     CCAttentionParams,
-    _check_rank,
     _gather_table,
-    _recurrent_backward,
-    _recurrent_forward,
+    cca_forward,
+    rcca_backward,
+    rcca_forward,
 )
 
 
@@ -46,16 +47,5 @@ def build_gather_table_3d(t: int, h: int, w: int):
     return _gather_table((t, h, w))
 
 
-def cca3d_forward(h, p: CCAttentionParams) -> tuple:
-    """Single 3D criss-cross pass on a (C, T, H, W) volume."""
-    _check_rank(h, "(C, T, H, W)")
-    return _recurrent_forward(h, p, 1)
-
-
-def rcca3d_forward(x, p: CCAttentionParams, r: int) -> tuple:
-    """r recurrent 3D passes with one shared parameter set."""
-    _check_rank(x, "(C, T, H, W)")
-    return _recurrent_forward(x, p, r)
-
-
-cca3d_backward = rcca3d_backward = _recurrent_backward
+cca3d_forward = cca_forward
+rcca3d_forward, rcca3d_backward = rcca_forward, rcca_backward

@@ -30,17 +30,22 @@ def _default_seed() -> int:
     return int(os.environ.get("CC_SEED", "0"))
 
 
-def _loop_count(text: str) -> int:
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return int(text)
+def _at_least(minimum: int):
+    """argparse type for an int flag that rejects values below ``minimum``."""
+    def integer(text: str) -> int:
+        if int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {text}")
+        return int(text)
+    return integer
 
 
-def _dtype(args) -> np.dtype:
-    return np.dtype(np.float32 if args.precision == "f32" else np.float64)
+_positive, _count = _at_least(1), _at_least(0)
 
 
 def cmd_bench(args) -> int:
+    if args.cred >= args.c:
+        print(f"--cred {args.cred} must be < --c {args.c}", file=sys.stderr)
+        return 2
     reports = []
     nl = flops_nonlocal(WorkloadSpec(h=args.h, w=args.w, c=args.c,
                                      c_reduced=args.cred))
@@ -151,7 +156,8 @@ def cmd_attn_dump(args) -> int:
         return 2
     rng = np.random.default_rng(_default_seed())
     p = CCAttentionParams.random(c, max(1, c // 2), rng)
-    _out, cache = rcca_forward(x.astype(_dtype(args)), p, args.loops)
+    dtype = {"f32": np.float32, "f64": np.float64}[args.precision]
+    _out, cache = rcca_forward(x.astype(dtype), p, args.loops)
     # the dump shows where attention mass comes from, not the identity path
     for loop, mass in enumerate(attention_mass(cache, (row, col)), start=1):
         _write_pgm(f"{args.out}_loop{loop}.pgm", mass)
@@ -212,10 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     for target, with_defaults in ((parser, True), (common, False)):
         target.add_argument(
-            "--precision", choices=("f32", "f64"),
-            default="f64" if with_defaults else argparse.SUPPRESS,
-            help="scalar width for numeric subcommands")
-        target.add_argument(
             "--format", choices=("md", "csv"),
             default="md" if with_defaults else argparse.SUPPRESS,
             help="table output format")
@@ -223,42 +225,44 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", parents=[common],
                        help="analytic FLOP/memory cost tables")
-    b.add_argument("--h", type=int, default=97)
-    b.add_argument("--w", type=int, default=97)
-    b.add_argument("--t", type=int, default=1)
-    b.add_argument("--c", type=int, default=512)
-    b.add_argument("--cred", type=int, default=64)
-    b.add_argument("--loops", type=int, default=3)
+    b.add_argument("--h", type=_positive, default=97)
+    b.add_argument("--w", type=_positive, default=97)
+    b.add_argument("--t", type=_positive, default=1)
+    b.add_argument("--c", type=_positive, default=512)
+    b.add_argument("--cred", type=_positive, default=64)
+    b.add_argument("--loops", type=_positive, default=3)
     b.add_argument("--check-paper", action="store_true",
                    help="assert the reported 8.3/16.5/24.7/108 GFLOPs within 5%%")
     b.set_defaults(fn=cmd_bench)
 
     g = sub.add_parser("gradcheck", parents=[common], help="finite-difference backward checks")
-    g.add_argument("--seeds", type=int, default=3)
+    g.add_argument("--seeds", type=_positive, default=3)
     g.add_argument("--tol", type=float, default=1e-5)
     g.set_defaults(fn=cmd_gradcheck)
 
     r = sub.add_parser("reach", parents=[common], help="information-propagation influence scan")
-    r.add_argument("--h", type=int, default=4)
-    r.add_argument("--w", type=int, default=5)
-    r.add_argument("--loops", type=_loop_count, default=1)
+    r.add_argument("--h", type=_positive, default=4)
+    r.add_argument("--w", type=_positive, default=5)
+    r.add_argument("--loops", type=_positive, default=1)
     r.set_defaults(fn=cmd_reach)
 
     a = sub.add_parser("attn-dump", parents=[common], help="per-position attention mass maps")
     a.add_argument("--input", required=True, help="CCT1 tensor file (C,H,W)")
     a.add_argument("--u", required=True, help="target position row,col")
-    a.add_argument("--loops", type=_loop_count, default=2)
+    a.add_argument("--loops", type=_positive, default=2)
     a.add_argument("--out", required=True, help="output path prefix")
+    a.add_argument("--precision", choices=("f32", "f64"), default="f64",
+                   help="scalar width of the attention computation")
     a.set_defaults(fn=cmd_attn_dump)
 
     t = sub.add_parser("train-toy", parents=[common], help="toy synthetic segmentation training")
     t.add_argument("--seed", type=int, default=_default_seed())
-    t.add_argument("--epochs", type=int, default=100)
+    t.add_argument("--epochs", type=_count, default=100)
     t.add_argument("--ccl", choices=("on", "off"), default="on")
     t.add_argument("--phi", choices=("piecewise", "quadratic"),
                    default="piecewise")
     t.add_argument("--out", default=None, help="metrics CSV path (default stdout)")
-    t.add_argument("--repeat", type=int, default=1,
+    t.add_argument("--repeat", type=_positive, default=1,
                    help="run this many consecutive seeds and report the success rate")
     t.set_defaults(fn=cmd_train_toy)
 

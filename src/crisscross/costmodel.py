@@ -79,19 +79,22 @@ def _attention_buffer_bytes(spec: WorkloadSpec, context: int, loops: int) -> int
     return tensors * loops * spec.positions * context * spec.bytes_per_scalar
 
 
-def flops_cc2d(spec: WorkloadSpec) -> CostReport:
-    """Recurrent 2D criss-cross attention cost: Q/K/V recomputed every loop,
-    context size H+W-1."""
-    context = spec.h + spec.w - 1
-    n = spec.h * spec.w
+def _recurrent_cost(spec: WorkloadSpec, method: str, n: int, context: int) -> CostReport:
+    """Recurrent criss-cross cost: Q/K/V recomputed every loop, `context`
+    keys per position over `n` positions."""
     per_loop = _stage_flops(n, context, spec.c, spec.c_reduced)
-    breakdown = {k: spec.loops * v for k, v in per_loop.items()}
     return CostReport(
-        method=f"RCCA(R={spec.loops})",
+        method=f"{method}(R={spec.loops})",
         spec=spec,
-        flops_breakdown=breakdown,
+        flops_breakdown={k: spec.loops * v for k, v in per_loop.items()},
         attention_bytes=_attention_buffer_bytes(spec, context, spec.loops),
     )
+
+
+def flops_cc2d(spec: WorkloadSpec) -> CostReport:
+    """Recurrent 2D criss-cross attention cost: context size H+W-1 over
+    N = H*W positions."""
+    return _recurrent_cost(spec, "RCCA", spec.h * spec.w, spec.h + spec.w - 1)
 
 
 def flops_nonlocal(spec: WorkloadSpec) -> CostReport:
@@ -109,16 +112,8 @@ def flops_nonlocal(spec: WorkloadSpec) -> CostReport:
 def flops_cc3d(spec: WorkloadSpec) -> CostReport:
     """Recurrent 3D criss-cross attention cost: context size T+H+W-2 over
     N = T*H*W positions; degenerates to the 2D model at T=1."""
-    context = spec.t + spec.h + spec.w - 2
-    n = spec.positions
-    per_loop = _stage_flops(n, context, spec.c, spec.c_reduced)
-    breakdown = {k: spec.loops * v for k, v in per_loop.items()}
-    return CostReport(
-        method=f"RCCA3D(R={spec.loops})",
-        spec=spec,
-        flops_breakdown=breakdown,
-        attention_bytes=_attention_buffer_bytes(spec, context, spec.loops),
-    )
+    return _recurrent_cost(spec, "RCCA3D", spec.positions,
+                           spec.t + spec.h + spec.w - 2)
 
 
 _COLUMNS = ("method", "loops", "h", "w", "t", "c", "c_reduced",

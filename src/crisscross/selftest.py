@@ -16,7 +16,7 @@ from .cca2d import (
     cca_forward,
     index_map_layout,
     rcca_forward,
-    _recurrent_forward,
+    rcca_forward as _recurrent_forward,  # the oracle suite's own traced name
 )
 from .cca3d import cca3d_forward
 from .losses import CCLConfig, phi_dis, phi_var

@@ -1,4 +1,4 @@
-"""Dense tensor primitives: channel projections, axis softmax, CCT1 file I/O.
+"""Dense tensor primitives: projection weights, axis softmax, CCT1 file I/O.
 
 Tensors are plain numpy ndarrays, row-major, channel-first. Default scalar
 precision is float64; float32 is a per-run mode selected by constructing or
@@ -50,24 +50,6 @@ class ProjectionWeights:
     @property
     def in_channels(self) -> int:
         return self.weight.shape[1]
-
-
-def pointwise_project(x: np.ndarray, w: ProjectionWeights) -> np.ndarray:
-    """Per-position channel matrix multiply: out[c,p] = sum_k w[c,k] x[k,p].
-
-    The first axis of ``x`` is the channel axis; all trailing axes are
-    spatial and pass through unchanged.
-    """
-    x = np.asarray(x)
-    if x.ndim < 1 or x.shape[0] != w.in_channels:
-        raise DimensionError(
-            f"channel mismatch: input has {x.shape[0] if x.ndim else 0} channels, "
-            f"weights expect {w.in_channels}"
-        )
-    spatial = x.shape[1:]
-    flat = x.reshape(x.shape[0], -1)
-    out = w.weight.astype(x.dtype, copy=False) @ flat
-    return out.reshape((w.out_channels,) + spatial)
 
 
 def softmax_axis(x: np.ndarray, axis: int) -> np.ndarray:

@@ -9,6 +9,7 @@ oracle-equivalence suite, breaks ``--trace 1`` or ``--inject-fault``.
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -16,7 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
-from crisscross import toytrain  # noqa: E402
+from crisscross import cca2d, selftest, toytrain  # noqa: E402
 from crisscross.losses import CCLConfig  # noqa: E402
 from crisscross.selftest import run_selftest  # noqa: E402
 
@@ -46,3 +47,37 @@ def test_traced_toy_run_records_each_loss_call():
     finally:
         tracer.uninstall()
     assert [rec[0] for rec in tracer.spans].count("losses.ccl") == 3
+
+
+def test_attention_workloads_resolve_their_lookups():
+    """The attention workloads look up their parameter type, entry points,
+    index map and cost functions by name; tracing binds none of these."""
+    attention = [wl for wl in workloads.make_workloads().values()
+                 if isinstance(wl, workloads.AttentionWorkload)]
+    assert [wl.name for wl in attention] == ["rcca2d-large", "rcca3d-volume"]
+    for wl in attention:
+        assert wl.params_type is wl.module.CCAttentionParams
+        assert callable(getattr(wl.module, wl.fwd))
+        assert callable(getattr(wl.module, wl.bwd))
+        assert callable(wl.index_map)
+        assert isinstance(wl.setup(0), wl.module.CCAttentionParams)
+        assert wl.cost_rows()[0]["flops_total"] > 0
+    assert callable(workloads.costmodel.flops_cc2d)
+    assert callable(workloads.costmodel.flops_cc3d)
+
+
+def test_traced_single_pass_forwards_stay_on_their_layer():
+    """A traced single-pass call records one forward span of its own layer:
+    ``cca_forward`` must not reach the rebound public ``rcca_forward``, which
+    would nest a second span and count its FLOPs twice."""
+    rng = np.random.default_rng(0)
+    p = cca2d.CCAttentionParams.random(3, 1, rng)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        selftest.cca_forward(rng.normal(size=(3, 2, 3)), p)
+        selftest.cca3d_forward(rng.normal(size=(3, 2, 2, 3)), p)
+    finally:
+        tracer.uninstall()
+    forwards = [rec[0] for rec in tracer.spans if rec[0].endswith(".forward")]
+    assert forwards == [tracing.FWD2, tracing.FWD3]

@@ -4,11 +4,12 @@ import pytest
 from crisscross.cca2d import (
     CCAttentionParams,
     CacheMismatchError,
-    affinity2d,
-    aggregate2d,
-    cca_backward,
+    _duplicate_mask,
+    _line_apply,
+    _line_scores,
     cca_forward,
     crisscross_index_map,
+    index_map_layout,
     rcca_backward,
     rcca_forward,
 )
@@ -48,12 +49,24 @@ class TestIndexMap:
             crisscross_index_map((0, 0), 5, 3, 3)
 
 
+def affinity(q, k):
+    """Engine scores in crisscross_index_map order, (H+W-1, H, W)."""
+    return index_map_layout(_line_scores(q, k))
+
+
+def zero_duplicates(a):
+    """Line-layout weights (H, W, H+W) with the duplicate self entry zeroed,
+    as the engine caches them."""
+    a[np.isinf(_duplicate_mask(a.shape[:-1]))] = 0.0
+    return a
+
+
 class TestAffinity:
     def test_single_position(self):
         rng = np.random.default_rng(3)
         q = rng.normal(size=(2, 1, 1))
         k = rng.normal(size=(2, 1, 1))
-        d = affinity2d(q, k)
+        d = affinity(q, k)
         assert d.shape == (1, 1, 1)
         assert d[0, 0, 0] == pytest.approx(float(q.ravel() @ k.ravel()))
 
@@ -61,14 +74,14 @@ class TestAffinity:
         rng = np.random.default_rng(4)
         q = rng.normal(size=(2, 3, 2))
         k = np.broadcast_to(rng.normal(size=(2, 1, 1)), (2, 3, 2)).copy()
-        d = affinity2d(q, k)
+        d = affinity(q, k)
         assert np.abs(d - d[0]).max() < 1e-12
 
     def test_matches_triple_loop(self):
         rng = np.random.default_rng(5)
         q = rng.normal(size=(2, 2, 3))
         k = rng.normal(size=(2, 2, 3))
-        d = affinity2d(q, k)
+        d = affinity(q, k)
         for r in range(2):
             for c in range(3):
                 for i in range(4):
@@ -76,41 +89,38 @@ class TestAffinity:
                     assert d[i, r, c] == pytest.approx(
                         float(q[:, r, c] @ k[:, rr, cc]), abs=1e-12)
 
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            affinity2d(np.ones((2, 2, 2)), np.ones((2, 2, 3)))
-
 
 class TestAggregate:
     def test_normalized_weights_with_constant_values(self):
         rng = np.random.default_rng(6)
         h, w = 3, 4
-        a = np.abs(rng.normal(size=(h + w - 1, h, w))) + 0.1
-        a /= a.sum(axis=0, keepdims=True)
+        a = zero_duplicates(np.abs(rng.normal(size=(h, w, h + w))) + 0.1)
+        a /= a.sum(axis=-1, keepdims=True)
         const = rng.normal(size=(2, 1, 1))
         v = np.broadcast_to(const, (2, h, w)).copy()
         x = rng.normal(size=(2, h, w))
-        out = aggregate2d(a, v, x)
+        out = _line_apply(a, v, x.copy())
         assert np.abs(out - (x + const)).max() < 1e-12
 
     def test_one_hot_self_selection(self):
         h, w = 2, 3
-        a = np.zeros((h + w - 1, h, w))
+        a = np.zeros((h, w, h + w))
         for r in range(h):
             for c in range(w):
-                a[r, r, c] = 1.0  # index r selects (r, c) = u itself
+                a[r, c, r] = 1.0  # entry r of the column block is u itself
         rng = np.random.default_rng(7)
         v = rng.normal(size=(2, h, w))
         x = rng.normal(size=(2, h, w))
-        assert np.abs(aggregate2d(a, v, x) - (x + v)).max() < 1e-12
+        assert np.abs(_line_apply(a, v, x.copy()) - (x + v)).max() < 1e-12
 
     def test_matches_triple_loop(self):
         rng = np.random.default_rng(8)
         h, w = 3, 4
-        a = rng.normal(size=(h + w - 1, h, w))
+        a = zero_duplicates(rng.normal(size=(h, w, h + w)))
         v = rng.normal(size=(2, h, w))
         x = rng.normal(size=(2, h, w))
-        out = aggregate2d(a, v, x)
+        out = _line_apply(a, v, x.copy())
+        a = index_map_layout(a)
         for r in range(h):
             for c in range(w):
                 expect = x[:, r, c].copy()
@@ -190,7 +200,7 @@ class TestBackward:
         p = random_params(4, 2, seed=14)
         x = np.random.default_rng(14).normal(size=(4, 3, 3))
         _, cache = cca_forward(x, p)
-        d_x, gw = cca_backward(cache, np.zeros_like(x))
+        d_x, gw = rcca_backward(cache, np.zeros_like(x))
         assert not d_x.any()
         assert not gw.d_wq.any() and not gw.d_wk.any() and not gw.d_wv.any()
 
@@ -200,7 +210,7 @@ class TestBackward:
         p = random_params(3, 1, seed=15)
         x = np.random.default_rng(15).normal(size=(3, 1, 1))
         _, cache = cca_forward(x, p)
-        d_x, _ = cca_backward(cache, np.ones_like(x))
+        d_x, _ = rcca_backward(cache, np.ones_like(x))
         expect = 1.0 + p.wv.weight.sum(axis=0)
         assert np.abs(d_x.ravel() - expect).max() < 1e-12
 
@@ -208,18 +218,7 @@ class TestBackward:
         p = random_params(4, 2)
         _, cache = cca_forward(np.zeros((4, 2, 2)), p)
         with pytest.raises(CacheMismatchError):
-            cca_backward(cache, np.zeros((4, 3, 2)))
-
-    def test_rcca_r1_equals_cca_backward(self):
-        p = random_params(4, 2, seed=16)
-        x = np.random.default_rng(16).normal(size=(4, 3, 3))
-        out, cache1 = cca_forward(x, p)
-        _, cache2 = rcca_forward(x, p, 1)
-        d = np.random.default_rng(17).normal(size=out.shape)
-        dx1, g1 = cca_backward(cache1, d)
-        dx2, g2 = rcca_backward(cache2, d)
-        assert np.array_equal(dx1, dx2)
-        assert np.array_equal(g1.d_wq, g2.d_wq)
+            rcca_backward(cache, np.zeros((4, 3, 2)))
 
     def test_shared_parameter_gradient_is_sum_of_per_loop_gradients(self):
         p = random_params(4, 2, seed=18)
@@ -231,8 +230,8 @@ class TestBackward:
         # unshared clone: backprop each loop separately and add
         mid, cache_a = cca_forward(x, p)
         _, cache_b = cca_forward(mid, p)
-        d_mid, g_loop2 = cca_backward(cache_b, d_out)
-        _, g_loop1 = cca_backward(cache_a, d_mid)
+        d_mid, g_loop2 = rcca_backward(cache_b, d_out)
+        _, g_loop1 = rcca_backward(cache_a, d_mid)
         for got, a, b in ((shared.d_wq, g_loop1.d_wq, g_loop2.d_wq),
                           (shared.d_wk, g_loop1.d_wk, g_loop2.d_wk),
                           (shared.d_wv, g_loop1.d_wv, g_loop2.d_wv)):

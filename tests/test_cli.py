@@ -14,7 +14,6 @@ def run(capsys, *argv):
     out = capsys.readouterr()
     return code, out.out, out.err
 
-
 class TestBench:
     def test_check_paper_passes(self, capsys):
         code, out, _ = run(capsys, "bench", "--h", "97", "--w", "97",
@@ -180,6 +179,18 @@ class TestAttnDump:
         assert "--loops: must be >= 1" in capsys.readouterr().err
         assert not list(tmp_path.glob("x_loop*"))
 
+    def test_precision_f32_is_honoured(self, capsys, tmp_path, tensor_file):
+        maps = {}
+        for precision in ("f32", "f64"):
+            code, _, _ = run(capsys, "attn-dump", "--input", str(tensor_file),
+                             "--u", "2,3", "--loops", "2", "--precision", precision,
+                             "--out", str(tmp_path / precision))
+            assert code == 0
+            maps[precision] = np.loadtxt(tmp_path / f"{precision}_loop2.csv",
+                                         delimiter=",")
+        assert np.abs(maps["f32"] - maps["f64"]).max() < 1e-5
+        assert not np.array_equal(maps["f32"], maps["f64"])
+
     def test_bad_file_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.cct"
         bad.write_bytes(b"not a tensor")
@@ -244,6 +255,11 @@ class TestGlobalFlags:
             assert code == 0
             assert out.startswith("method,")
 
+    def test_precision_is_not_global(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--precision", "f32", "selftest"])
+        assert exc.value.code == 2
+
     @pytest.mark.parametrize("argv", [["--single-thread", "selftest"],
                                       ["bench", "--single-thread"]])
     def test_single_thread_flag_removed(self, capsys, argv):
@@ -251,3 +267,25 @@ class TestGlobalFlags:
             main(argv)
         assert exc.value.code == 2
         assert "--single-thread" in capsys.readouterr().err
+
+
+class TestBadCounts:
+    @pytest.mark.parametrize("argv,message", [
+        (["bench", "--h", "8", "--w", "8", "--t", "2", "--loops", "0"],
+         "--loops: must be >= 1"),
+        (["bench", "--h", "0"], "--h: must be >= 1"),
+        (["bench", "--c", "4", "--cred", "4"], "--cred 4 must be < --c 4"),
+        (["reach", "--h", "0", "--w", "3"], "--h: must be >= 1"),
+        (["train-toy", "--epochs", "-1"], "--epochs: must be >= 0"),
+        (["train-toy", "--repeat", "0"], "--repeat: must be >= 1"),
+        (["gradcheck", "--seeds", "0"], "--seeds: must be >= 1"),
+    ])
+    def test_exits_2_with_the_reason_on_stderr(self, capsys, argv, message):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        assert code == 2
+        assert message in out.err
+        assert "checks passed" not in out.out

@@ -8,24 +8,18 @@ from hypothesis import strategies as st
 
 from crisscross.cca2d import (
     CCAttentionParams,
+    _duplicate_mask,
     attention_mass,
     build_gather_table_2d,
-    cca_forward,
     crisscross_index_map,
     index_map_layout,
-    line_layout,
     rcca_backward,
     rcca_forward,
 )
-from crisscross.cca3d import (
-    build_gather_table_3d,
-    cca3d_forward,
-    crisscross_index_map_3d,
-    rcca3d_backward,
-    rcca3d_forward,
-)
+from crisscross.cca3d import build_gather_table_3d, crisscross_index_map_3d
 from crisscross.gradcheck import check_attention
 from crisscross.oracles import cca3d_naive, cca_naive
+from crisscross.tensor_core import DimensionError
 
 F32_RTOL = 1e-4  # float32 engine against the float64 oracle, relative to max |ref|
 
@@ -34,22 +28,36 @@ def rel_diff(a, b):
     return float(np.abs(a - b).max()) / max(1e-30, float(np.abs(b).max()))
 
 
+def naive_for(shape):
+    return cca_naive if len(shape) == 3 else cca3d_naive
+
+
 def forward_and_oracle(shape, seed, reduced=None):
     rng = np.random.default_rng(seed)
     c = shape[0]
     p = CCAttentionParams.random(c, reduced or c - 1, rng)
     x = rng.normal(size=shape)
-    if len(shape) == 3:
-        out, cache = cca_forward(x, p)
-        return out, cache, cca_naive(x, p)
-    out, cache = cca3d_forward(x, p)
-    return out, cache, cca3d_naive(x, p)
+    out, cache = rcca_forward(x, p, 1)
+    return out, cache, naive_for(shape)(x, p)
 
 
-def assert_rows_normalized(attn):
-    assert np.abs(attn.sum(axis=-1) - 1.0).max() < 1e-9
-    assert np.abs(index_map_layout(attn).sum(axis=0) - 1.0).max() < 1e-9
+def assert_rows_normalized(attn, tol=1e-9):
+    assert np.abs(attn.sum(axis=-1) - 1.0).max() < tol
+    assert np.abs(index_map_layout(attn).sum(axis=0) - 1.0).max() < tol
     assert attn.min() >= 0.0
+
+
+def neighbour_indices(spatial):
+    """Line-layout array (*S, sum(S)): at [u, block m, entry z], the flat
+    index of u with its axis-m coordinate set to z."""
+    coords = np.indices(spatial)
+    blocks = []
+    for m, s in enumerate(spatial):
+        for z in range(s):
+            line = coords.copy()
+            line[m] = z
+            blocks.append(np.ravel_multi_index(tuple(line), spatial))
+    return np.stack(blocks, axis=-1)
 
 
 class TestGatherTables:
@@ -70,18 +78,45 @@ class TestGatherTables:
 
 class TestLayouts:
     def test_round_trip_and_zero_duplicates(self):
-        rng = np.random.default_rng(0)
-        for spatial in ((3, 4), (1, 5), (4, 1), (2, 3, 2)):
-            a = rng.normal(size=(sum(spatial) - len(spatial) + 1,) + spatial)
-            full = line_layout(a)
-            assert full.shape == spatial + (sum(spatial),)
-            assert np.array_equal(index_map_layout(full), a)
-            assert np.count_nonzero(full == 0.0) == (len(spatial) - 1) * a[0].size
+        """index_map_layout puts line-layout entries in index-map order and
+        drops exactly the duplicate self entries, which the mask sets to -inf."""
+        for spatial in ((3, 4), (1, 5), (4, 1), (2, 3, 2), (1, 1, 3)):
+            index_map = crisscross_index_map if len(spatial) == 2 else crisscross_index_map_3d
+            size = sum(spatial) - len(spatial) + 1
+            nbr = neighbour_indices(spatial)
+            expect = [[np.ravel_multi_index(index_map(u, i, *spatial), spatial)
+                       for u in np.ndindex(*spatial)] for i in range(size)]
+            assert np.array_equal(index_map_layout(nbr).reshape(size, -1), expect)
+            own = np.arange(nbr[..., 0].size).reshape(spatial + (1,))
+            later_block = np.repeat(np.arange(len(spatial)), spatial) > 0
+            assert np.array_equal(np.isinf(_duplicate_mask(spatial)),
+                                  (nbr == own) & later_block)
 
     def test_cached_attention_is_zero_on_duplicates(self):
-        _, cache, _ = forward_and_oracle((4, 3, 5), seed=1)
-        attn = cache.records[0].attn
-        assert np.array_equal(line_layout(index_map_layout(attn)), attn)
+        for shape in ((4, 3, 5), (3, 2, 3, 2)):
+            _, cache, _ = forward_and_oracle(shape, seed=1)
+            duplicates = np.isinf(_duplicate_mask(shape[1:]))
+            assert np.count_nonzero(duplicates) == (len(shape) - 2) * np.prod(shape[1:])
+            assert not cache.records[0].attn[duplicates].any()
+
+
+class TestRank:
+    @pytest.mark.parametrize("shape", [(4, 5), (4, 2, 2, 3, 3)])
+    def test_other_ranks_raise_naming_both_layouts(self, shape):
+        p = CCAttentionParams.random(4, 2, np.random.default_rng(0))
+        with pytest.raises(DimensionError, match=r"\(C, H, W\).*\(C, T, H, W\)"):
+            rcca_forward(np.ones(shape), p, 1)
+
+    @pytest.mark.parametrize("shape", [(4, 3, 5), (3, 2, 3, 4)])
+    def test_one_entry_point_serves_both_ranks(self, shape):
+        rng = np.random.default_rng(len(shape))
+        p = CCAttentionParams.random(shape[0], 2, rng)
+        x = rng.normal(size=shape)
+        out, cache = rcca_forward(x, p, 2)
+        naive = naive_for(shape)
+        assert rel_diff(out, naive(naive(x, p), p)) < 1e-9
+        d_x, grads = rcca_backward(cache, out)
+        assert d_x.shape == shape and grads.d_wv.shape == (shape[0],) * 2
 
 
 class TestDegenerateGrids:
@@ -119,6 +154,27 @@ def test_engine_matches_oracle_on_random_shapes(data):
     assert_rows_normalized(cache.records[0].attn)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_rows_sum_to_one_at_large_scores(data):
+    """Weights at scale 8, inputs at scale 4 and two loops put the largest
+    |q.k| of most draws between 1e4 and 1e7; the max-shifted softmax still
+    normalises every row, with no overflow or invalid operation (exp
+    underflow to 0 is expected)."""
+    rank = data.draw(st.sampled_from([2, 3]))
+    spatial = tuple(data.draw(st.integers(1, 4)) for _ in range(rank))
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+    c = data.draw(st.integers(2, 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    p = CCAttentionParams.random(c, c - 1, rng, scale=8.0)
+    x = rng.normal(0.0, 4.0, (c,) + spatial).astype(dtype)
+    with np.errstate(all="raise", under="ignore"):
+        _, cache = rcca_forward(x, p, 2)
+    for rec in cache.records:
+        assert rec.attn.dtype == dtype
+        assert_rows_normalized(rec.attn, 1e-5 if dtype == np.float32 else 1e-12)
+
+
 class TestFloat32:
     @pytest.mark.parametrize("shape", [(4, 3, 5), (3, 2, 3, 2)])
     def test_stays_float32_and_matches_float64(self, shape):
@@ -126,19 +182,17 @@ class TestFloat32:
         p = CCAttentionParams.random(shape[0], 2, rng)
         x = rng.normal(size=shape)
         d_out = rng.normal(size=shape)
-        fwd, bwd = ((rcca_forward, rcca_backward) if len(shape) == 3
-                    else (rcca3d_forward, rcca3d_backward))
-        out64, cache64 = fwd(x, p, 2)
-        out32, cache32 = fwd(x.astype(np.float32), p, 2)
+        out64, cache64 = rcca_forward(x, p, 2)
+        out32, cache32 = rcca_forward(x.astype(np.float32), p, 2)
         assert out32.dtype == np.float32
         assert all(a.dtype == np.float32 for rec in cache32.records
                    for a in (rec.x, rec.q, rec.k, rec.v, rec.attn))
-        once = (cca_naive if len(shape) == 3 else cca3d_naive)(x, p)
-        twice = (cca_naive if len(shape) == 3 else cca3d_naive)(once, p)
+        naive = naive_for(shape)
+        twice = naive(naive(x, p), p)
         assert rel_diff(out32, twice) < F32_RTOL
 
-        d64, g64 = bwd(cache64, d_out)
-        d32, g32 = bwd(cache32, d_out.astype(np.float32))
+        d64, g64 = rcca_backward(cache64, d_out)
+        d32, g32 = rcca_backward(cache32, d_out.astype(np.float32))
         assert d32.dtype == g32.d_wq.dtype == g32.d_wk.dtype == g32.d_wv.dtype == np.float32
         assert rel_diff(d32, d64) < F32_RTOL
         for a, b in ((g32.d_wq, g64.d_wq), (g32.d_wk, g64.d_wk), (g32.d_wv, g64.d_wv)):
@@ -181,8 +235,7 @@ class TestAttentionMass:
         rng = np.random.default_rng(11)
         p = CCAttentionParams.random(shape[0], 1, rng)
         x = rng.normal(size=shape)
-        fwd = rcca_forward if len(shape) == 3 else rcca3d_forward
-        _, cache = fwd(x, p, 3)
+        _, cache = rcca_forward(x, p, 3)
         got = attention_mass(cache, u)
         want = self.dense_reference(cache, u)
         assert len(got) == 3

@@ -5,54 +5,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from crisscross.tensor_core import (
-    DimensionError,
-    ProjectionWeights,
     TensorFormatError,
     TensorLengthError,
     load_tensor,
-    pointwise_project,
     save_tensor,
     softmax_axis,
 )
-
-
-class TestPointwiseProject:
-    def test_identity(self):
-        x = np.ones((2, 1, 1))
-        w = ProjectionWeights(np.eye(2))
-        assert np.array_equal(pointwise_project(x, w), x)
-
-    def test_permutation(self):
-        x = np.array([1.0, 2.0]).reshape(2, 1, 1)
-        w = ProjectionWeights(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.array_equal(pointwise_project(x, w).ravel(), [2.0, 1.0])
-
-    def test_matches_loop_oracle(self):
-        rng = np.random.default_rng(7)
-        x = rng.normal(size=(3, 4, 5))
-        w = ProjectionWeights(rng.normal(size=(2, 3)))
-        got = pointwise_project(x, w)
-        for r in range(4):
-            for c in range(5):
-                for co in range(2):
-                    expect = sum(w.weight[co, k] * x[k, r, c] for k in range(3))
-                    assert got[co, r, c] == pytest.approx(expect, abs=1e-12)
-
-    def test_channel_mismatch_names_extents(self):
-        w = ProjectionWeights(np.eye(3))
-        with pytest.raises(DimensionError, match="2.*3|3.*2"):
-            pointwise_project(np.ones((2, 1)), w)
-
-    @given(a=st.floats(-3, 3), b=st.floats(-3, 3))
-    @settings(max_examples=30, deadline=None)
-    def test_linearity(self, a, b):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(3, 2, 2))
-        y = rng.normal(size=(3, 2, 2))
-        w = ProjectionWeights(rng.normal(size=(2, 3)))
-        lhs = pointwise_project(a * x + b * y, w)
-        rhs = a * pointwise_project(x, w) + b * pointwise_project(y, w)
-        assert np.abs(lhs - rhs).max() < 1e-12
 
 
 class TestSoftmaxAxis:
