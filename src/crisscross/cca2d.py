@@ -139,14 +139,20 @@ def build_gather_table_2d(h: int, w: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # axial engine (rank-generic, shared with the 3D module)
 
-@lru_cache(maxsize=8)
-def _axis_plan(rank: int) -> tuple:
-    """Per spatial axis m, the transposes that batch its lines: (C, *S) to
-    (others..., C, S[m]), and a (*S, z) attention block to (others..., S[m], z)."""
-    plan = []
-    for m in range(rank):
+@lru_cache(maxsize=64)
+def _axis_plan(spatial: tuple, lead: int) -> tuple:
+    """Per spatial axis m of the grid ``spatial``: the transposes that batch
+    its lines, (*B, C, *S) to (*B, others..., C, S[m]) and a (*B, *S, z)
+    attention block to (*B, others..., S[m], z) for ``lead`` batch axes B,
+    and the [lo, hi) range of the block in the line layout's last axis."""
+    rank, batch = len(spatial), tuple(range(lead))
+    plan, lo = [], 0
+    for m, s in enumerate(spatial):
         others = tuple(a for a in range(rank) if a != m)
-        plan.append((tuple(a + 1 for a in others) + (0, m + 1), others + (m, rank)))
+        plan.append((batch + tuple(lead + 1 + a for a in others) + (lead, lead + 1 + m),
+                     batch + tuple(lead + a for a in others) + (lead + m, lead + rank),
+                     lo, lo + s))
+        lo += s
     return tuple(plan)
 
 
@@ -162,54 +168,67 @@ def _duplicate_mask(spatial: tuple) -> np.ndarray:
     return mask
 
 
-def _line_scores(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Line layout of <a[:, u], b[:, v]> over v on the axis lines through u."""
-    spatial = a.shape[1:]
-    out = np.empty(spatial + (sum(spatial),), dtype=np.result_type(a, b))
-    offset = 0
-    for (to_line, att), s in zip(_axis_plan(len(spatial)), spatial):
+def _line_scores(a: np.ndarray, b: np.ndarray, rank: int) -> np.ndarray:
+    """Line layout of <a[..., :, u], b[..., :, v]> over v on the axis lines
+    through u, for (*B, C, *S) arrays with ``rank`` spatial axes."""
+    spatial = a.shape[-rank:]
+    out = np.empty(a.shape[:-rank - 1] + spatial + (sum(spatial),),
+                   dtype=np.result_type(a, b))
+    for to_line, att, lo, hi in _axis_plan(spatial, a.ndim - rank - 1):
         np.matmul(a.transpose(to_line).swapaxes(-1, -2), b.transpose(to_line),
-                  out=out[..., offset:offset + s].transpose(att))
-        offset += s
+                  out=out[..., lo:hi].transpose(att))
     return out
 
 
-def _line_apply(weights: np.ndarray, a: np.ndarray, out: np.ndarray,
+def _line_apply(weights: np.ndarray, a: np.ndarray, out: np.ndarray, rank: int,
                 transpose: bool = False) -> np.ndarray:
-    """out[:, u] += sum of weights[u, v] a[:, v] over v on the lines through
-    u; with ``transpose``, out[:, v] += sum of weights[u, v] a[:, u]."""
-    spatial = weights.shape[:-1]
-    offset = 0
-    for (to_line, att), s in zip(_axis_plan(len(spatial)), spatial):
-        block = weights[..., offset:offset + s].transpose(att)
+    """out[..., :, u] += sum of weights[..., u, v] a[..., :, v] over v on the
+    lines through u; with ``transpose``, out[..., :, v] += sum of
+    weights[..., u, v] a[..., :, u]."""
+    lead = weights.ndim - rank - 1
+    for to_line, att, lo, hi in _axis_plan(weights.shape[lead:-1], lead):
+        block = weights[..., lo:hi].transpose(att)
         acc = out.transpose(to_line)
         acc += a.transpose(to_line) @ (block if transpose else block.swapaxes(-1, -2))
-        offset += s
     return out
 
 
-def _attention_forward(x: np.ndarray, w_qkv: np.ndarray, reduced: int):
-    """One pass on a (C, *S) array; w_qkv stacks wq, wk and wv in x.dtype."""
-    spatial = x.shape[1:]
-    qkv = (w_qkv @ x.reshape(x.shape[0], -1)).reshape((-1,) + spatial)
-    q, k, v = qkv[:reduced], qkv[reduced:2 * reduced], qkv[2 * reduced:]
-    scores = _line_scores(q, k)
+def _attention_forward(x: np.ndarray, w_qkv: np.ndarray, reduced: int, rank: int):
+    """One pass on a (*B, C, *S) array with ``rank`` spatial axes; w_qkv
+    stacks wq, wk and wv in x.dtype, one (M, C) matrix or one per item."""
+    spatial = x.shape[-rank:]
+    qkv = w_qkv @ x.reshape(x.shape[:-rank] + (-1,))  # (*B, M, N)
+    shape = qkv.shape[:-2] + (-1,) + spatial
+    q = qkv[..., :reduced, :].reshape(shape)
+    k = qkv[..., reduced:2 * reduced, :].reshape(shape)
+    v = qkv[..., 2 * reduced:, :].reshape(shape)
+    scores = _line_scores(q, k, rank)
     scores += _duplicate_mask(spatial)
     attn = softmax_axis(scores, axis=-1)
-    out = _line_apply(attn, v, x.copy())
+    out = _line_apply(attn, v, x.copy(), rank)
     return out, LoopRecord(x=x, q=q, k=k, v=v, attn=attn)
+
+
+def _recurrence(x: np.ndarray, w_qkv: np.ndarray, reduced: int, loops: int,
+                rank: int) -> tuple:
+    """``loops`` passes with one weight stack: (output, per-loop records)."""
+    records = []
+    for _ in range(loops):
+        x, rec = _attention_forward(x, w_qkv, reduced, rank)
+        records.append(rec)
+    return x, records
 
 
 def _attention_backward(rec: LoopRecord, d_out: np.ndarray, w_qkv: np.ndarray):
     """(d_x, gradient of the stacked weights) of one cached pass."""
-    attn, reduced = rec.attn, len(rec.q)
-    d_attn = _line_scores(d_out, rec.v)
+    attn, reduced, rank = rec.attn, len(rec.q), rec.x.ndim - 1
+    d_attn = _line_scores(d_out, rec.v, rank)
     # softmax over the criss-cross set; the duplicates have attn = 0
     d_scores = attn * (d_attn - (attn * d_attn).sum(axis=-1, keepdims=True))
     d_qkv = np.zeros((len(w_qkv),) + rec.x.shape[1:], dtype=rec.x.dtype)
-    _line_apply(d_scores, rec.k, d_qkv[:reduced])
-    _line_apply(d_scores, rec.q, d_qkv[reduced:2 * reduced], transpose=True)
-    _line_apply(attn, d_out, d_qkv[2 * reduced:], transpose=True)
+    _line_apply(d_scores, rec.k, d_qkv[:reduced], rank)
+    _line_apply(d_scores, rec.q, d_qkv[reduced:2 * reduced], rank, transpose=True)
+    _line_apply(attn, d_out, d_qkv[2 * reduced:], rank, transpose=True)
     d_qkv = d_qkv.reshape(len(w_qkv), -1)
     d_x = d_out + (w_qkv.T @ d_qkv).reshape(d_out.shape)
     return d_x, d_qkv @ rec.x.reshape(len(rec.x), -1).T
@@ -237,7 +256,8 @@ def attention_mass(cache: ForwardCache, u: tuple) -> list:
         mass = np.zeros((1,) + cache.shape[1:])
         mass[(0,) + tuple(u)] = 1.0
         for rec in reversed(cache.records[:loop]):
-            mass = _line_apply(rec.attn, mass, np.zeros_like(mass), transpose=True)
+            mass = _line_apply(rec.attn, mass, np.zeros_like(mass), mass.ndim - 1,
+                               transpose=True)
         maps.append(mass[0])
     return maps
 
@@ -259,20 +279,20 @@ def rcca_forward(x: np.ndarray, p: CCAttentionParams, loops: int) -> tuple:
         raise DimensionError(
             f"input has {x.shape[0]} channels, parameters expect {p.channels}"
         )
-    # float32 stays float32 end to end; anything else computes in float64
+    # float32 stays float32 end to end; complex input (a complex-step
+    # perturbation) computes in complex128, anything else in float64
     if x.dtype != np.float32:
-        x = x.astype(np.float64, copy=False)
+        x = x.astype(np.complex128 if x.dtype.kind == "c" else np.float64, copy=False)
     w_qkv = _stacked_weights(p, x.dtype)
-    cache = ForwardCache(shape=x.shape, params=p)
-    for _ in range(loops):
-        x, rec = _attention_forward(x, w_qkv, p.reduced_channels)
-        cache.records.append(rec)
-    return x, cache
+    out, records = _recurrence(x, w_qkv, p.reduced_channels, loops, x.ndim - 1)
+    return out, ForwardCache(shape=x.shape, params=p, records=records)
 
 
 # cca_forward reaches rcca_forward through this private name, so that a
 # rebound public name (the benchmark's traced run wraps it) does not nest a
-# second forward inside a single-pass call.
+# second forward inside a single-pass call. The selftest's complex-step
+# influence scan calls it too, so that its complex calls are not priced as
+# real forwards.
 _rcca_forward = rcca_forward
 
 

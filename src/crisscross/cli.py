@@ -2,12 +2,13 @@
 
 Subcommands: bench, gradcheck, reach, attn-dump, train-toy, selftest.
 Exit codes: 0 success, 1 verification failure, 2 usage error. The CC_SEED
-environment variable overrides the default seed everywhere.
+environment variable, an integer >= 0, overrides the default seed everywhere.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .cca2d import CCAttentionParams, attention_mass, rcca_forward
 from .costmodel import WorkloadSpec, flops_cc2d, flops_cc3d, flops_nonlocal, render_report
-from .gradcheck import default_suite
+from .gradcheck import DEFAULT_TOL, default_suite
 from .losses import CCLConfig
 from .oracles import crisscross_mask, influence_scan
 from .selftest import run_selftest
@@ -24,10 +25,6 @@ from .toytrain import EpochMetrics, gen_toy, train_toy
 
 PAPER_GFLOPS = {1: 8.3, 2: 16.5, 3: 24.7}
 PAPER_NL_GFLOPS = 108.0
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("CC_SEED", "0"))
 
 
 def _at_least(minimum: int):
@@ -40,6 +37,18 @@ def _at_least(minimum: int):
 
 
 _positive, _count = _at_least(1), _at_least(0)
+
+
+def _tolerance(text: str) -> float:
+    """argparse type for a finite positive float."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text}")
+    return value
+
+
+def _default_seed() -> int:
+    return _count(os.environ.get("CC_SEED", "0"))
 
 
 def cmd_bench(args) -> int:
@@ -95,7 +104,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_reach(args) -> int:
     if args.h > 8 or args.w > 8:
-        print(f"grid {args.h}x{args.w} too large for finite-difference "
+        print(f"grid {args.h}x{args.w} too large for complex-step "
               "influence scan (limit 8x8)", file=sys.stderr)
         return 2
     rng = np.random.default_rng(_default_seed())
@@ -235,9 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="assert the reported 8.3/16.5/24.7/108 GFLOPs within 5%%")
     b.set_defaults(fn=cmd_bench)
 
-    g = sub.add_parser("gradcheck", parents=[common], help="finite-difference backward checks")
+    g = sub.add_parser("gradcheck", parents=[common], help="complex-step backward checks")
     g.add_argument("--seeds", type=_positive, default=3)
-    g.add_argument("--tol", type=float, default=1e-5)
+    g.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     g.set_defaults(fn=cmd_gradcheck)
 
     r = sub.add_parser("reach", parents=[common], help="information-propagation influence scan")
@@ -256,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.set_defaults(fn=cmd_attn_dump)
 
     t = sub.add_parser("train-toy", parents=[common], help="toy synthetic segmentation training")
-    t.add_argument("--seed", type=int, default=_default_seed())
+    t.add_argument("--seed", type=_count, default=_default_seed())
     t.add_argument("--epochs", type=_count, default=100)
     t.add_argument("--ccl", choices=("on", "off"), default="on")
     t.add_argument("--phi", choices=("piecewise", "quadratic"),
@@ -272,6 +281,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        _default_seed()
+    except (ValueError, argparse.ArgumentTypeError):
+        print(f"crisscross: error: CC_SEED must be an integer >= 0, "
+              f"got {os.environ['CC_SEED']!r}", file=sys.stderr)
+        return 2
     args = build_parser().parse_args(argv)
     return args.fn(args)
 

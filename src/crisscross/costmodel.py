@@ -13,6 +13,7 @@ total simultaneously.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 
@@ -74,27 +75,31 @@ def _stage_flops(n: int, context: int, c: int, cr: int) -> dict:
     }
 
 
-def _attention_buffer_bytes(spec: WorkloadSpec, context: int, loops: int) -> int:
+def _attention_buffer_bytes(spec: WorkloadSpec, n: int, context: int, loops: int) -> int:
     tensors = 2 if spec.memory_mode == "training" else 1
-    return tensors * loops * spec.positions * context * spec.bytes_per_scalar
+    return tensors * loops * n * context * spec.bytes_per_scalar
 
 
-def _recurrent_cost(spec: WorkloadSpec, method: str, n: int, context: int) -> CostReport:
-    """Recurrent criss-cross cost: Q/K/V recomputed every loop, `context`
-    keys per position over `n` positions."""
+def _recurrent_cost(spec: WorkloadSpec, method: str, axes: tuple) -> CostReport:
+    """Recurrent criss-cross cost over the grid ``axes``: Q/K/V recomputed
+    every loop, N = prod(axes) positions with sum(axes) - rank + 1 keys each."""
+    n, context = math.prod(axes), sum(axes) - len(axes) + 1
     per_loop = _stage_flops(n, context, spec.c, spec.c_reduced)
     return CostReport(
         method=f"{method}(R={spec.loops})",
         spec=spec,
         flops_breakdown={k: spec.loops * v for k, v in per_loop.items()},
-        attention_bytes=_attention_buffer_bytes(spec, context, spec.loops),
+        attention_bytes=_attention_buffer_bytes(spec, n, context, spec.loops),
     )
 
 
 def flops_cc2d(spec: WorkloadSpec) -> CostReport:
     """Recurrent 2D criss-cross attention cost: context size H+W-1 over
-    N = H*W positions."""
-    return _recurrent_cost(spec, "RCCA", spec.h * spec.w, spec.h + spec.w - 1)
+    N = H*W positions. A spec with t != 1 is a volume: use flops_cc3d."""
+    if spec.t != 1:
+        raise ValueError(f"flops_cc2d models a (H, W) map, got t={spec.t}; "
+                         "use flops_cc3d for a volume")
+    return _recurrent_cost(spec, "RCCA", (spec.h, spec.w))
 
 
 def flops_nonlocal(spec: WorkloadSpec) -> CostReport:
@@ -104,7 +109,7 @@ def flops_nonlocal(spec: WorkloadSpec) -> CostReport:
         method="NL",
         spec=spec,
         flops_breakdown=_stage_flops(n, n, spec.c, spec.c_reduced),
-        attention_bytes=_attention_buffer_bytes(spec, n, 1),
+        attention_bytes=_attention_buffer_bytes(spec, n, n, 1),
         ratio_vs_nonlocal=1.0,
     )
 
@@ -112,8 +117,7 @@ def flops_nonlocal(spec: WorkloadSpec) -> CostReport:
 def flops_cc3d(spec: WorkloadSpec) -> CostReport:
     """Recurrent 3D criss-cross attention cost: context size T+H+W-2 over
     N = T*H*W positions; degenerates to the 2D model at T=1."""
-    return _recurrent_cost(spec, "RCCA3D", spec.positions,
-                           spec.t + spec.h + spec.w - 2)
+    return _recurrent_cost(spec, "RCCA3D", (spec.t, spec.h, spec.w))
 
 
 _COLUMNS = ("method", "loops", "h", "w", "t", "c", "c_reduced",

@@ -102,23 +102,38 @@ def phi_dis_grad(dist, cfg: CCLConfig):
 
 
 def _check_aligned(features: np.ndarray, labels: np.ndarray):
-    if features.shape[1:] != labels.shape:
+    """features are (..., C, *S) for labels of extents S: the labels set the
+    spatial rank, and any axes before the channel axis are a batch."""
+    if (labels.ndim < 1 or features.ndim <= labels.ndim
+            or features.shape[-labels.ndim:] != labels.shape):
         raise DimensionError(
-            f"feature spatial extents {features.shape[1:]} != label extents {labels.shape}"
+            f"features {features.shape} do not end in a channel axis and the "
+            f"label extents {labels.shape}"
         )
 
 
-def _norms(a: np.ndarray) -> np.ndarray:
-    """Euclidean lengths along axis 0, as sqrt(sum(a*a))."""
-    return np.sqrt((a * a).sum(axis=0))
+def _norms(a: np.ndarray, axis: int) -> np.ndarray:
+    """Euclidean lengths along ``axis``, as sqrt(sum(a*a)): no conjugate, so
+    a complex-step perturbation passes through."""
+    return np.sqrt((a * a).sum(axis=axis))
 
 
 def _class_sums(values: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
-    """(C, K) sums of the (C, M) columns of ``values`` by class row."""
-    c = values.shape[0]
+    """(..., C, K) sums of the (..., C, M) columns of ``values`` by class row."""
+    if values.dtype.kind == "c":  # bincount takes real weights only
+        return _class_sums(values.real, rows, k) + 1j * _class_sums(values.imag, rows, k)
+    lanes = values.shape[:-1]
+    c = math.prod(lanes)
     bins = (rows + k * np.arange(c)[:, None]).reshape(-1)
     sums = np.bincount(bins, values.reshape(-1), minlength=c * k)
-    return sums.reshape(c, k).astype(np.float64, copy=False)  # int64 when empty
+    return sums.reshape(lanes + (k,)).astype(np.float64, copy=False)  # int64 when empty
+
+
+def _total(terms: np.ndarray):
+    """Sum over the last axis: a float for one real map, else an array. A
+    C-ordered stack sums each item in the order one map alone sums in."""
+    total = np.add.reduce(np.ascontiguousarray(terms), axis=-1)
+    return float(total) if total.ndim == 0 and total.dtype.kind != "c" else total
 
 
 def _per_length(coef, length):
@@ -129,24 +144,24 @@ def _per_length(coef, length):
 
 @dataclass(frozen=True)
 class ClassStats:
-    """Per-class statistics of a (C', N) feature map under its labels; the M
-    labelled positions are those without IGNORE_ID."""
+    """Per-class statistics of a (..., C', N) feature map under its labels;
+    the M labelled positions are those without IGNORE_ID."""
     classes: np.ndarray         # (K,) labels present, ascending, without IGNORE_ID
     valid: np.ndarray           # (N,) True at the labelled positions
     rows: np.ndarray            # (M,) class row of each labelled position
     counts: np.ndarray          # (K,) positions per class
-    means: np.ndarray           # (C', K) class centres
-    offsets: np.ndarray         # (C', M) centre minus feature, per labelled position
-    dist: np.ndarray            # (M,) lengths of the offsets
-    centre_offsets: np.ndarray  # (C', K, K) means[:, a] - means[:, b]
-    centre_dist: np.ndarray     # (K, K) lengths of the centre offsets
+    means: np.ndarray           # (..., C', K) class centres
+    offsets: np.ndarray         # (..., C', M) centre minus feature, per labelled position
+    dist: np.ndarray            # (..., M) lengths of the offsets
+    centre_offsets: np.ndarray  # (..., C', K, K) means[..., a] - means[..., b]
+    centre_dist: np.ndarray     # (..., K, K) lengths of the centre offsets
 
 
 def class_stats(features: np.ndarray, labels: np.ndarray) -> ClassStats:
     """One pass over the positions: class list, class rows, counts, means and
     the distances that the loss and the toy statistics need."""
     _check_aligned(features, labels)
-    flat_f = features.reshape(features.shape[0], -1)
+    flat_f = features.reshape(features.shape[:-labels.ndim] + (-1,))
     classes, inverse = np.unique(labels.reshape(-1), return_inverse=True)
     keep = classes != IGNORE_ID
     rows = np.where(keep, np.cumsum(keep) - 1, -1)[inverse]  # -1 at IGNORE_ID
@@ -154,11 +169,11 @@ def class_stats(features: np.ndarray, labels: np.ndarray) -> ClassStats:
     rows = rows[valid]
     k = int(keep.sum())
     counts = np.bincount(rows, minlength=k)
-    means = _class_sums(flat_f[:, valid], rows, k) / counts
-    offsets = means[:, rows] - flat_f[:, valid]
-    centre_offsets = means[:, :, None] - means[:, None, :]
-    return ClassStats(classes[keep], valid, rows, counts, means, offsets, _norms(offsets),
-                      centre_offsets, _norms(centre_offsets))
+    means = _class_sums(flat_f[..., valid], rows, k) / counts
+    offsets = means[..., rows] - flat_f[..., valid]
+    centre_offsets = means[..., :, None] - means[..., None, :]
+    return ClassStats(classes[keep], valid, rows, counts, means, offsets, _norms(offsets, -2),
+                      centre_offsets, _norms(centre_offsets, -3))
 
 
 def class_means(features: np.ndarray, labels: np.ndarray):
@@ -171,7 +186,9 @@ def class_means(features: np.ndarray, labels: np.ndarray):
 
 def ccl_loss(features: np.ndarray, labels: np.ndarray, cfg: CCLConfig,
              want_grad: bool = False):
-    """Three-term category consistent loss on an already-reduced feature map.
+    """Three-term category consistent loss on an already-reduced (C', *S)
+    feature map, or on a (..., C', *S) stack of them, one loss per item
+    (the gradient takes a single map).
 
     Returns a CCLBreakdown, or (breakdown, grad) where grad is the gradient of
     the weighted combination alpha*l_var + beta*l_dis + gamma*l_reg with
@@ -184,15 +201,17 @@ def ccl_loss(features: np.ndarray, labels: np.ndarray, cfg: CCLConfig,
     per_pixel = 1.0 / (max(nc, 1) * st.counts[st.rows])  # 1 / (K * N_c) per position
     pairs = ~np.eye(nc, dtype=bool)  # ordered pairs a != b
     pair_norm = max(nc * (nc - 1), 1)
-    norms = _norms(st.means)
+    norms = _norms(st.means, -2)
 
-    l_var = float((phi_var(st.dist, cfg) * per_pixel).sum())
-    l_dis = float(phi_dis(st.centre_dist[pairs], cfg).sum() / pair_norm)
-    l_reg = float(norms.sum() / max(nc, 1))
+    l_var = _total(phi_var(st.dist, cfg) * per_pixel)
+    l_dis = _total(phi_dis(st.centre_dist[..., pairs], cfg)) / pair_norm
+    l_reg = _total(norms) / max(nc, 1)
     breakdown = CCLBreakdown(l_var=l_var, l_dis=l_dis, l_reg=l_reg, stats=st)
     if not want_grad:
         return breakdown
 
+    if features.ndim != labels.ndim + 1:
+        raise DimensionError(f"the gradient takes one (C', *S) map, got {features.shape}")
     # l_var: each position pulls its centre by g * unit and itself by -g * unit
     pull = st.offsets * _per_length(
         cfg.alpha * phi_var_grad(st.dist, cfg) * per_pixel, st.dist)
@@ -217,28 +236,28 @@ def total_loss(seg: float, ccl: CCLBreakdown, cfg: CCLConfig) -> float:
 
 
 def cross_entropy_seg(logits: np.ndarray, labels: np.ndarray):
-    """Mean pixel-wise cross-entropy over non-ignored positions.
+    """Mean pixel-wise cross-entropy over non-ignored positions of (K, *S)
+    logits, or of a (..., K, *S) stack of them, one loss per item.
 
     Returns (loss, gradient w.r.t. logits); the gradient is
     (softmax - one_hot) / valid_count at non-ignored positions, zero elsewhere.
     """
-    if logits.ndim < 2 or logits.shape[0] < 2:
-        raise DimensionError(f"need (K, spatial...) logits with K >= 2, got {logits.shape}")
     _check_aligned(logits, labels)
-    k = logits.shape[0]
-    flat_logits = logits.reshape(k, -1)
+    if logits.shape[-labels.ndim - 1] < 2:
+        raise DimensionError(f"need (K, spatial...) logits with K >= 2, got {logits.shape}")
+    flat_logits = logits.reshape(logits.shape[:-labels.ndim] + (-1,))
     flat_l = labels.reshape(-1)
     valid = flat_l != IGNORE_ID
     count = int(valid.sum())
     if count == 0:
         raise ValueError("cross entropy undefined: every position carries the ignore id")
-    shifted = flat_logits - flat_logits.max(axis=0, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=0))
+    shifted = flat_logits - flat_logits.max(axis=-2, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=-2, keepdims=True))
     probs = np.exp(shifted - log_z)
     idx = np.flatnonzero(valid)
     lab = flat_l[idx].astype(np.int64)
-    loss = float(-(shifted[lab, idx] - log_z[idx]).sum() / count)
-    grad = np.zeros_like(flat_logits, dtype=np.float64)
-    grad[:, idx] = probs[:, idx] / count
-    grad[lab, idx] -= 1.0 / count
+    loss = -_total(shifted[..., lab, idx] - log_z[..., 0, idx]) / count
+    grad = np.zeros(flat_logits.shape, dtype=np.promote_types(probs.dtype, np.float64))
+    grad[..., idx] = probs[..., idx] / count
+    grad[..., lab, idx] -= 1.0 / count
     return loss, grad.reshape(logits.shape)

@@ -1,7 +1,7 @@
 """Deliberately slow, obviously correct references.
 
-Everything here is scalar loops or brute-force finite differences; these
-functions exist only to be trusted, never to be fast.
+Everything here is scalar loops or brute-force complex-step derivatives;
+these functions exist only to be trusted, never to be fast.
 """
 
 from __future__ import annotations
@@ -121,24 +121,39 @@ def nonlocal_forward(h: np.ndarray, p: CCAttentionParams) -> np.ndarray:
     return out.reshape(h.shape)
 
 
-def jacobian_fd(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of f: flat(out) by flat(in)."""
+_STEP = 1e-20  # any tiny step: the complex step has no truncation-rounding trade-off
+
+
+def _complex_step(f, *arrays, step: float = _STEP) -> list:
+    """Derivatives of ``f`` w.r.t. every entry of ``arrays`` from one call.
+
+    ``f`` takes one (B, *a.shape) complex stack per array, B the total entry
+    count, and returns (B, *out). Item j of the batch perturbs entry j by
+    i*step, so d out / d entry j = Im f[j] / step: the complex step, with no
+    subtraction and so no cancellation floor (Squire & Trapp, SIAM Review
+    1998). Returns, per array, an (*a.shape, *out) array.
+    """
+    starts = np.cumsum([0] + [a.size for a in arrays])
+    stacks = []
+    for a, start in zip(arrays, starts):
+        stack = np.empty((starts[-1], a.size), dtype=np.complex128)
+        stack[:] = a.reshape(-1)
+        stack[start + np.arange(a.size), np.arange(a.size)] += 1j * step
+        stacks.append(stack.reshape((starts[-1],) + a.shape))
+    d = np.asarray(f(*stacks)).imag / step
+    return [part.reshape(a.shape + d.shape[1:])
+            for part, a in zip(np.split(d, starts[1:-1]), arrays)]
+
+
+def jacobian_fd(f, x: np.ndarray, step: float = _STEP) -> np.ndarray:
+    """Complex-step Jacobian of f: flat(out) by flat(in). ``f`` takes one
+    input and must be analytic in it (no abs, conj or cast to real); it is
+    called once per input entry."""
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     x = np.asarray(x, dtype=np.float64)
-    y0 = np.asarray(f(x)).ravel()
-    jac = np.zeros((y0.size, x.size))
-    flat = x.ravel()
-    for j in range(flat.size):
-        orig = flat[j]
-        xp = flat.copy()
-        xp[j] = orig + step
-        xm = flat.copy()
-        xm[j] = orig - step
-        yp = np.asarray(f(xp.reshape(x.shape))).ravel()
-        ym = np.asarray(f(xm.reshape(x.shape))).ravel()
-        jac[:, j] = (yp - ym) / (2.0 * step)
-    return jac
+    (jac,) = _complex_step(lambda xs: [np.ravel(f(xj)) for xj in xs], x, step=step)
+    return jac.reshape(x.size, -1).T
 
 
 @dataclass
@@ -157,9 +172,9 @@ class InfluencePattern:
 
 
 def influence_scan(f, x: np.ndarray, threshold: float = 1e-12,
-                   step: float = 1e-6) -> InfluencePattern:
-    """Finite-difference position-to-position sensitivity: (u, theta) is set
-    iff any channel pair has |d f(x)[:, u] / d x[:, theta]| > threshold."""
+                   step: float = _STEP) -> InfluencePattern:
+    """Complex-step position-to-position sensitivity: (u, theta) is set iff
+    any channel pair has |d f(x)[:, u] / d x[:, theta]| > threshold."""
     if threshold <= 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
     c = x.shape[0]

@@ -51,7 +51,7 @@ class TestIndexMap:
 
 def affinity(q, k):
     """Engine scores in crisscross_index_map order, (H+W-1, H, W)."""
-    return index_map_layout(_line_scores(q, k))
+    return index_map_layout(_line_scores(q, k, 2))
 
 
 def zero_duplicates(a):
@@ -99,7 +99,7 @@ class TestAggregate:
         const = rng.normal(size=(2, 1, 1))
         v = np.broadcast_to(const, (2, h, w)).copy()
         x = rng.normal(size=(2, h, w))
-        out = _line_apply(a, v, x.copy())
+        out = _line_apply(a, v, x.copy(), 2)
         assert np.abs(out - (x + const)).max() < 1e-12
 
     def test_one_hot_self_selection(self):
@@ -111,7 +111,7 @@ class TestAggregate:
         rng = np.random.default_rng(7)
         v = rng.normal(size=(2, h, w))
         x = rng.normal(size=(2, h, w))
-        assert np.abs(_line_apply(a, v, x.copy()) - (x + v)).max() < 1e-12
+        assert np.abs(_line_apply(a, v, x.copy(), 2) - (x + v)).max() < 1e-12
 
     def test_matches_triple_loop(self):
         rng = np.random.default_rng(8)
@@ -119,7 +119,7 @@ class TestAggregate:
         a = zero_duplicates(rng.normal(size=(h, w, h + w)))
         v = rng.normal(size=(2, h, w))
         x = rng.normal(size=(2, h, w))
-        out = _line_apply(a, v, x.copy())
+        out = _line_apply(a, v, x.copy(), 2)
         a = index_map_layout(a)
         for r in range(h):
             for c in range(w):

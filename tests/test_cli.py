@@ -279,6 +279,11 @@ class TestBadCounts:
         (["train-toy", "--epochs", "-1"], "--epochs: must be >= 0"),
         (["train-toy", "--repeat", "0"], "--repeat: must be >= 1"),
         (["gradcheck", "--seeds", "0"], "--seeds: must be >= 1"),
+        (["gradcheck", "--tol", "nan"], "--tol: must be a finite positive number"),
+        (["gradcheck", "--tol", "inf"], "--tol: must be a finite positive number"),
+        (["gradcheck", "--tol", "0"], "--tol: must be a finite positive number"),
+        (["gradcheck", "--tol", "-1"], "--tol: must be a finite positive number"),
+        (["train-toy", "--seed", "-1"], "--seed: must be >= 0"),
     ])
     def test_exits_2_with_the_reason_on_stderr(self, capsys, argv, message):
         try:
@@ -289,3 +294,13 @@ class TestBadCounts:
         assert code == 2
         assert message in out.err
         assert "checks passed" not in out.out
+
+    @pytest.mark.parametrize("value", ["x", "-1", "1.5"])
+    @pytest.mark.parametrize("argv", [["selftest"], ["train-toy", "--epochs", "0"]])
+    def test_bad_cc_seed_exits_2(self, capsys, monkeypatch, value, argv):
+        monkeypatch.setenv("CC_SEED", value)
+        code = main(argv)
+        out = capsys.readouterr()
+        assert code == 2
+        assert f"CC_SEED must be an integer >= 0, got {value!r}" in out.err
+        assert out.out == ""

@@ -65,6 +65,13 @@ class TestModelStructure:
         assert a.flops_breakdown == b.flops_breakdown
         assert a.attention_bytes == b.attention_bytes
 
+    def test_2d_model_rejects_a_temporal_extent(self):
+        # a 2D spec with t > 1 counted FLOPs over H*W but bytes over T*H*W
+        with pytest.raises(ValueError, match="t=3"):
+            flops_cc2d(WorkloadSpec(h=4, w=4, t=3, c=4, c_reduced=2))
+        rep = flops_cc2d(WorkloadSpec(h=4, w=4, c=4, c_reduced=2))
+        assert (rep.flops_total, rep.attention_bytes) == (2768, 448)
+
     def test_3d_affinity_subquadratic_in_volume(self):
         costs = []
         for t in (2, 4, 8, 16):

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from crisscross.cca2d import (
     CCAttentionParams,
     _duplicate_mask,
+    _recurrence,
+    _stacked_weights,
     attention_mass,
     build_gather_table_2d,
     crisscross_index_map,
@@ -209,6 +211,34 @@ class TestFloat32:
             assert a.dtype == np.float32
             assert np.isfinite(a).all()
         assert out.shape == d_x.shape == x.shape
+
+
+class TestBatchAndComplex:
+    """The leading batch axis and the complex128 path that the complex-step
+    checks run on."""
+
+    @pytest.mark.parametrize("shape", [(4, 3, 4), (3, 2, 2, 3)])
+    def test_batched_stack_equals_per_item_forward(self, shape):
+        rng = np.random.default_rng(4)
+        params = [CCAttentionParams.random(shape[0], 2, rng) for _ in range(5)]
+        xs = rng.normal(size=(5,) + shape)
+        stacked = np.stack([_stacked_weights(p, np.float64) for p in params])
+        out, records = _recurrence(xs, stacked, 2, 2, len(shape) - 1)
+        assert out.shape == xs.shape and len(records) == 2
+        for x, p, o in zip(xs, params, out):
+            assert rel_diff(o, rcca_forward(x, p, 2)[0]) < 1e-12
+
+    @pytest.mark.parametrize("shape", [(4, 3, 4), (3, 2, 2, 3)])
+    def test_complex128_stays_complex_and_its_real_part_is_the_forward(self, shape):
+        rng = np.random.default_rng(5)
+        p = CCAttentionParams.random(shape[0], 2, rng)
+        x = rng.normal(size=shape)
+        out64, _ = rcca_forward(x, p, 2)
+        out, cache = rcca_forward(x + 1e-20j * rng.normal(size=shape), p, 2)
+        assert out.dtype == np.complex128
+        assert all(rec.attn.dtype == np.complex128 for rec in cache.records)
+        assert np.abs(out.imag).max() > 0
+        assert rel_diff(out.real, out64) < 1e-12
 
 
 class TestAttentionMass:

@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from crisscross import cca2d
 from crisscross.cca2d import CCAttentionParams, rcca_backward, rcca_forward
-from crisscross.gradcheck import check_attention, default_suite, rel_err
+from crisscross.gradcheck import DEFAULT_TOL, check_attention, default_suite, rel_err
+from crisscross.selftest import run_selftest
 from crisscross.tensor_core import ProjectionWeights
 
 
@@ -67,3 +71,32 @@ class TestDefaultSuite:
     def test_one_seed_suite_passes(self):
         for res in default_suite(seeds=1):
             assert res.passed(), f"{res.name}: {res.max_rel_err}"
+
+
+class TestGate:
+    def test_planted_backward_error_fails_the_gate(self, monkeypatch):
+        # a 1e-7 relative error in d_wv: below the old central-difference
+        # gate of 1e-5, far above the complex step's rounding
+        exact = cca2d._attention_backward
+
+        def planted(rec, d_out, w_qkv):
+            d_x, d_w = exact(rec, d_out, w_qkv)
+            d_w[2 * len(rec.q):] *= 1.0 + 1e-7
+            return d_x, d_w
+
+        monkeypatch.setattr(cca2d, "_attention_backward", planted)
+        res = check_attention(0, (3, 4), channels=4, reduced=2, loops=1)
+        assert 1e-8 < res.max_rel_err < 1e-5
+        assert not res.passed()
+        assert res.worst_coordinate.startswith("wv")
+
+    def test_three_seed_suite_reaches_rounding_with_warnings_as_errors(self):
+        # a complex value cast to float warns (ComplexWarning); under "error"
+        # a dropped imaginary part fails here instead of reading as zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise", under="ignore"):
+                results = default_suite(seeds=3)
+                assert all(r.passed for r in run_selftest())
+        assert DEFAULT_TOL == 1e-10
+        assert max(r.max_rel_err for r in results) <= 1e-12

@@ -377,6 +377,46 @@ class TestPenaltyArrays:
             fn(np.array([0.5, -1e-9, 2.0]), CFG)
 
 
+class TestBatchedLosses:
+    """A (B, C, *S) stack gives, item by item, exactly the per-item values."""
+
+    @pytest.mark.parametrize("cfg", VARIANTS, ids=lambda c: c.phi_variant)
+    def test_ccl_stack_equals_per_item_calls(self, cfg):
+        rng = np.random.default_rng(12)
+        features = rng.normal(0.0, 1.5, (4, 3, 5, 6))
+        labels = rng.integers(0, 3, (5, 6))
+        labels[0, 0] = IGNORE_ID
+        bd = ccl_loss(features, labels, cfg)
+        for i, f in enumerate(features):
+            one = ccl_loss(f, labels, cfg)
+            assert (bd.l_var[i], bd.l_dis[i], bd.l_reg[i]) == (one.l_var, one.l_dis, one.l_reg)
+        assert bd.weighted(cfg).shape == (4,)
+        with pytest.raises(DimensionError):
+            ccl_loss(features, labels, cfg, want_grad=True)
+
+    def test_cross_entropy_stack_equals_per_item_calls(self):
+        rng = np.random.default_rng(13)
+        logits = rng.normal(0.0, 2.0, (2, 3, 4, 4, 5))
+        labels = rng.integers(0, 4, (4, 5))
+        labels[1, 1] = IGNORE_ID
+        loss, grad = cross_entropy_seg(logits, labels)
+        assert loss.shape == (2, 3) and grad.shape == logits.shape
+        for idx in np.ndindex(2, 3):
+            one_loss, one_grad = cross_entropy_seg(logits[idx], labels)
+            assert loss[idx] == one_loss
+            assert np.array_equal(grad[idx], one_grad)
+
+    def test_complex_values_are_not_cast_to_real(self):
+        rng = np.random.default_rng(14)
+        features = rng.normal(size=(3, 4, 4)) + 1e-20j
+        labels = rng.integers(0, 3, (4, 4))
+        bd = ccl_loss(features, labels, CFG)
+        assert all(np.iscomplexobj(t) for t in (bd.l_var, bd.l_dis, bd.l_reg))
+        real = ccl_loss(features.real, labels, CFG)
+        assert bd.weighted(CFG).real == pytest.approx(real.weighted(CFG), rel=1e-15)
+        assert np.iscomplexobj(cross_entropy_seg(features, labels)[0])
+
+
 class TestTotalLoss:
     def test_all_zero(self):
         bd = ccl_loss(np.zeros((2, 1, 1)), np.zeros((1, 1), dtype=int), CFG)
