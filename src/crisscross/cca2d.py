@@ -7,8 +7,10 @@ as one batched matrix product, sets the duplicate self entry of every axis
 after the first to -inf, and runs one joint softmax. Attention arrays use
 this *line layout*, (*S, sum(S)): block m holds the weights over the line
 along spatial axis m, zero at the duplicates. Aggregation and backward are
-batched products over the same lines; the index maps and gather tables (the
-*index-map layout*) are the definitional enumeration, for verification only.
+batched products over the same lines, on channels-last (*S, C) maps whose
+lines along every axis are BLAS-ready views; public arrays stay (C, *S). The
+index maps and gather tables (the *index-map layout*) are the definitional
+enumeration, for verification only.
 """
 
 from __future__ import annotations
@@ -78,10 +80,10 @@ class CCAttentionGrads:
 class LoopRecord:
     """Intermediates of one attention application, kept for the backward pass."""
 
-    x: np.ndarray        # input (C, *S)
-    q: np.ndarray        # (C', *S)
-    k: np.ndarray        # (C', *S)
-    v: np.ndarray        # (C, *S)
+    x: np.ndarray        # input, channels-last (*S, C)
+    q: np.ndarray        # (*S, C')
+    k: np.ndarray        # (*S, C')
+    v: np.ndarray        # (*S, C)
     attn: np.ndarray     # post-softmax, line layout (*S, sum(S))
 
 
@@ -141,97 +143,105 @@ def build_gather_table_2d(h: int, w: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _axis_plan(spatial: tuple, lead: int) -> tuple:
-    """Per spatial axis m of the grid ``spatial``: the transposes that batch
-    its lines, (*B, C, *S) to (*B, others..., C, S[m]) and a (*B, *S, z)
-    attention block to (*B, others..., S[m], z) for ``lead`` batch axes B,
-    and the [lo, hi) range of the block in the line layout's last axis."""
+    """(to_last, to_first, lines) for the grid ``spatial`` and ``lead`` batch
+    axes B: to_last views (*B, C, *S) as (*B, *S, C), to_first undoes it, and
+    per spatial axis m, ``lines`` holds the transpose that batches its lines,
+    (*B, *S, z) to (*B, others..., S[m], z), for channels-last arrays and
+    attention blocks alike, and the block's [lo, hi) range in the line layout."""
     rank, batch = len(spatial), tuple(range(lead))
-    plan, lo = [], 0
+    grid = tuple(range(lead, lead + rank))
+    lines, lo = [], 0
     for m, s in enumerate(spatial):
-        others = tuple(a for a in range(rank) if a != m)
-        plan.append((batch + tuple(lead + 1 + a for a in others) + (lead, lead + 1 + m),
-                     batch + tuple(lead + a for a in others) + (lead + m, lead + rank),
-                     lo, lo + s))
+        lines.append((batch + grid[:m] + grid[m + 1:] + (lead + m, lead + rank), lo, lo + s))
         lo += s
-    return tuple(plan)
+    return batch + grid[1:] + (lead + rank, lead), batch + (lead + rank,) + grid, tuple(lines)
 
 
 @lru_cache(maxsize=16)
-def _duplicate_mask(spatial: tuple) -> np.ndarray:
-    """Additive (*S, sum(S)) score mask, -inf on the duplicate self entries and
-    0 elsewhere; read-only, since every call on this grid shares it."""
+def _duplicate_mask(spatial: tuple, dtype=np.dtype(np.float64)) -> np.ndarray:
+    """Additive (*S, sum(S)) score mask in ``dtype``, -inf on the duplicate self
+    entries and 0 elsewhere; read-only, since every call on this grid shares it."""
     axis = np.repeat(np.arange(len(spatial)), spatial)
     z = np.concatenate([np.arange(s) for s in spatial])
     own = np.indices(spatial)[axis]  # (sum(S), *S): the coordinate each block walks
-    mask = np.where((axis > 0) & (np.moveaxis(own, 0, -1) == z), -np.inf, 0.0)
+    mask = np.where((axis > 0) & (np.moveaxis(own, 0, -1) == z), -np.inf, 0.0).astype(dtype)
     mask.setflags(write=False)
     return mask
 
 
 def _line_scores(a: np.ndarray, b: np.ndarray, rank: int) -> np.ndarray:
-    """Line layout of <a[..., :, u], b[..., :, v]> over v on the axis lines
-    through u, for (*B, C, *S) arrays with ``rank`` spatial axes."""
-    spatial = a.shape[-rank:]
-    out = np.empty(a.shape[:-rank - 1] + spatial + (sum(spatial),),
-                   dtype=np.result_type(a, b))
-    for to_line, att, lo, hi in _axis_plan(spatial, a.ndim - rank - 1):
-        np.matmul(a.transpose(to_line).swapaxes(-1, -2), b.transpose(to_line),
-                  out=out[..., lo:hi].transpose(att))
+    """Line layout of <a[..., u, :], b[..., v, :]> over v on the axis lines
+    through u, for channels-last (*B, *S, C) arrays with ``rank`` spatial axes."""
+    spatial = a.shape[-rank - 1:-1]
+    out = np.empty(a.shape[:-1] + (sum(spatial),), dtype=np.result_type(a, b))
+    for to_line, lo, hi in _axis_plan(spatial, a.ndim - rank - 1)[2]:
+        np.matmul(a.transpose(to_line), b.transpose(to_line).swapaxes(-1, -2),
+                  out=out[..., lo:hi].transpose(to_line))
     return out
 
 
-def _line_apply(weights: np.ndarray, a: np.ndarray, out: np.ndarray, rank: int,
-                transpose: bool = False) -> np.ndarray:
-    """out[..., :, u] += sum of weights[..., u, v] a[..., :, v] over v on the
-    lines through u; with ``transpose``, out[..., :, v] += sum of
-    weights[..., u, v] a[..., :, u]."""
+def _line_apply(weights: np.ndarray, a: np.ndarray, rank: int, transpose: bool = False,
+                residual=None, out=None) -> np.ndarray:
+    """out[..., u, :] = residual[..., u, :] + the sum of weights[..., u, v]
+    a[..., v, :] over v on the lines through u, for channels-last arrays;
+    with ``transpose``, weights[..., v, u] instead. ``out`` is written, not
+    read, and is a new array when not given."""
     lead = weights.ndim - rank - 1
-    for to_line, att, lo, hi in _axis_plan(weights.shape[lead:-1], lead):
-        block = weights[..., lo:hi].transpose(att)
-        acc = out.transpose(to_line)
-        acc += a.transpose(to_line) @ (block if transpose else block.swapaxes(-1, -2))
+    out = np.empty(a.shape, dtype=np.result_type(weights, a)) if out is None else out
+    for m, (to_line, lo, hi) in enumerate(_axis_plan(weights.shape[lead:-1], lead)[2]):
+        block = weights[..., lo:hi].transpose(to_line)
+        product = np.matmul(block.swapaxes(-1, -2) if transpose else block,
+                            a.transpose(to_line), out=None if m else out.transpose(to_line))
+        if m:
+            acc = out.transpose(to_line)
+            acc += product
+        elif residual is not None:  # after the first product: no copy, sum order x + p0 + p1
+            out += residual
     return out
 
 
 def _attention_forward(x: np.ndarray, w_qkv: np.ndarray, reduced: int, rank: int):
-    """One pass on a (*B, C, *S) array with ``rank`` spatial axes; w_qkv
-    stacks wq, wk and wv in x.dtype, one (M, C) matrix or one per item."""
-    spatial = x.shape[-rank:]
-    qkv = w_qkv @ x.reshape(x.shape[:-rank] + (-1,))  # (*B, M, N)
-    shape = qkv.shape[:-2] + (-1,) + spatial
-    q = qkv[..., :reduced, :].reshape(shape)
-    k = qkv[..., reduced:2 * reduced, :].reshape(shape)
-    v = qkv[..., 2 * reduced:, :].reshape(shape)
+    """One pass on a channels-last (*B, *S, C) array with ``rank`` spatial axes;
+    w_qkv stacks wq, wk and wv in x.dtype, one (M, C) matrix or one per item."""
+    batch = x.shape[:-rank - 1]
+    qkv = x.reshape(batch + (-1, x.shape[-1])) @ w_qkv.swapaxes(-1, -2)  # (*B, N, M)
+    qkv = qkv.reshape(x.shape[:-1] + (-1,))
+    q, k, v = qkv[..., :reduced], qkv[..., reduced:2 * reduced], qkv[..., 2 * reduced:]
     scores = _line_scores(q, k, rank)
-    scores += _duplicate_mask(spatial)
+    scores += _duplicate_mask(x.shape[-rank - 1:-1], scores.real.dtype)
     attn = softmax_axis(scores, axis=-1)
-    out = _line_apply(attn, v, x.copy(), rank)
+    del scores  # freed before the aggregation allocates its output
+    out = _line_apply(attn, v, rank, residual=x)
     return out, LoopRecord(x=x, q=q, k=k, v=v, attn=attn)
 
 
 def _recurrence(x: np.ndarray, w_qkv: np.ndarray, reduced: int, loops: int,
                 rank: int) -> tuple:
-    """``loops`` passes with one weight stack: (output, per-loop records)."""
-    records = []
+    """``loops`` passes with one weight stack on a (*B, C, *S) array: the
+    C-contiguous output in that layout and the channels-last loop records."""
+    to_last, to_first, _ = _axis_plan(x.shape[-rank:], x.ndim - rank - 1)
+    x, records = x.transpose(to_last), []
     for _ in range(loops):
         x, rec = _attention_forward(x, w_qkv, reduced, rank)
         records.append(rec)
-    return x, records
+    return np.ascontiguousarray(x.transpose(to_first)), records
 
 
 def _attention_backward(rec: LoopRecord, d_out: np.ndarray, w_qkv: np.ndarray):
-    """(d_x, gradient of the stacked weights) of one cached pass."""
-    attn, reduced, rank = rec.attn, len(rec.q), rec.x.ndim - 1
+    """(d_x, gradient of the stacked weights) of one cached pass, channels-last."""
+    attn, reduced, rank = rec.attn, rec.q.shape[-1], rec.x.ndim - 1
     d_attn = _line_scores(d_out, rec.v, rank)
-    # softmax over the criss-cross set; the duplicates have attn = 0
-    d_scores = attn * (d_attn - (attn * d_attn).sum(axis=-1, keepdims=True))
-    d_qkv = np.zeros((len(w_qkv),) + rec.x.shape[1:], dtype=rec.x.dtype)
-    _line_apply(d_scores, rec.k, d_qkv[:reduced], rank)
-    _line_apply(d_scores, rec.q, d_qkv[reduced:2 * reduced], rank, transpose=True)
-    _line_apply(attn, d_out, d_qkv[2 * reduced:], rank, transpose=True)
-    d_qkv = d_qkv.reshape(len(w_qkv), -1)
-    d_x = d_out + (w_qkv.T @ d_qkv).reshape(d_out.shape)
-    return d_x, d_qkv @ rec.x.reshape(len(rec.x), -1).T
+    # softmax over the criss-cross set, in place; the duplicates have attn = 0
+    d_attn -= np.einsum("...z,...z->...", attn, d_attn)[..., None]
+    d_attn *= attn
+    d_qkv = np.empty(d_out.shape[:-1] + (len(w_qkv),), dtype=d_out.dtype)
+    _line_apply(d_attn, rec.k, rank, out=d_qkv[..., :reduced])
+    _line_apply(d_attn, rec.q, rank, transpose=True, out=d_qkv[..., reduced:2 * reduced])
+    _line_apply(attn, d_out, rank, transpose=True, out=d_qkv[..., 2 * reduced:])
+    d_qkv = d_qkv.reshape(-1, len(w_qkv))
+    d_x = (d_qkv @ w_qkv).reshape(d_out.shape)
+    d_x += d_out
+    return d_x, d_qkv.T @ rec.x.reshape(-1, rec.x.shape[-1])
 
 
 def _stacked_weights(p: CCAttentionParams, dtype) -> np.ndarray:
@@ -253,12 +263,11 @@ def attention_mass(cache: ForwardCache, u: tuple) -> list:
     at a time through the line-layout attention: no N x N matrix is formed."""
     maps = []
     for loop in range(1, cache.loops + 1):
-        mass = np.zeros((1,) + cache.shape[1:])
-        mass[(0,) + tuple(u)] = 1.0
+        mass = np.zeros(cache.shape[1:] + (1,))
+        mass[tuple(u) + (0,)] = 1.0
         for rec in reversed(cache.records[:loop]):
-            mass = _line_apply(rec.attn, mass, np.zeros_like(mass), mass.ndim - 1,
-                               transpose=True)
-        maps.append(mass[0])
+            mass = _line_apply(rec.attn, mass, mass.ndim - 1, transpose=True)
+        maps.append(mass[..., 0])
     return maps
 
 
@@ -310,9 +319,11 @@ def rcca_backward(cache: ForwardCache, d_out: np.ndarray) -> tuple:
         )
     dtype = cache.records[0].x.dtype
     w_qkv = _stacked_weights(cache.params, dtype)
-    d, total = np.asarray(d_out, dtype=dtype), 0
+    to_last, to_first, _ = _axis_plan(cache.shape[1:], 0)
+    d, total = np.ascontiguousarray(d_out.transpose(to_last), dtype=dtype), 0
     for rec in reversed(cache.records):
         d, d_w = _attention_backward(rec, d, w_qkv)
         total = total + d_w
     cr = cache.params.reduced_channels
-    return d, CCAttentionGrads(d_wq=total[:cr], d_wk=total[cr:2 * cr], d_wv=total[2 * cr:])
+    return (np.ascontiguousarray(d.transpose(to_first)),
+            CCAttentionGrads(d_wq=total[:cr], d_wk=total[cr:2 * cr], d_wv=total[2 * cr:]))

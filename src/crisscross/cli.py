@@ -47,6 +47,13 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _out_path(text: str) -> str:
+    """argparse type for an output path or prefix in an existing directory."""
+    if not os.path.isdir(os.path.dirname(text) or "."):
+        raise argparse.ArgumentTypeError(f"directory of {text!r} does not exist")
+    return text
+
+
 def _default_seed() -> int:
     return _count(os.environ.get("CC_SEED", "0"))
 
@@ -149,6 +156,10 @@ def cmd_attn_dump(args) -> int:
         print(f"attention dump needs a rank-3 tensor, got rank {x.ndim}",
               file=sys.stderr)
         return 2
+    x = x.astype({"f32": np.float32, "f64": np.float64}[args.precision], copy=False)
+    if not np.isfinite(x).all():
+        print(f"{args.input} holds non-finite {args.precision} values", file=sys.stderr)
+        return 2
     try:
         row, col = (int(v) for v in args.u.split(","))
     except ValueError:
@@ -165,8 +176,7 @@ def cmd_attn_dump(args) -> int:
         return 2
     rng = np.random.default_rng(_default_seed())
     p = CCAttentionParams.random(c, max(1, c // 2), rng)
-    dtype = {"f32": np.float32, "f64": np.float64}[args.precision]
-    _out, cache = rcca_forward(x.astype(dtype), p, args.loops)
+    _out, cache = rcca_forward(x, p, args.loops)
     # the dump shows where attention mass comes from, not the identity path
     for loop, mass in enumerate(attention_mass(cache, (row, col)), start=1):
         _write_pgm(f"{args.out}_loop{loop}.pgm", mass)
@@ -259,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--input", required=True, help="CCT1 tensor file (C,H,W)")
     a.add_argument("--u", required=True, help="target position row,col")
     a.add_argument("--loops", type=_positive, default=2)
-    a.add_argument("--out", required=True, help="output path prefix")
+    a.add_argument("--out", type=_out_path, required=True, help="output path prefix")
     a.add_argument("--precision", choices=("f32", "f64"), default="f64",
                    help="scalar width of the attention computation")
     a.set_defaults(fn=cmd_attn_dump)
@@ -270,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--ccl", choices=("on", "off"), default="on")
     t.add_argument("--phi", choices=("piecewise", "quadratic"),
                    default="piecewise")
-    t.add_argument("--out", default=None, help="metrics CSV path (default stdout)")
+    t.add_argument("--out", type=_out_path, help="metrics CSV path (default stdout)")
     t.add_argument("--repeat", type=_positive, default=1,
                    help="run this many consecutive seeds and report the success rate")
     t.set_defaults(fn=cmd_train_toy)

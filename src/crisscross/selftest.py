@@ -57,7 +57,7 @@ def suite_oracle_equivalence(seed: int = 0, cases_2d: int = 12, cases_3d: int = 
         fast, cache = _recurrent_forward(x, p, 1)
         rec, table = cache.records[0], builder(h, w)
         attn = index_map_layout(rec.attn).reshape(table.shape)
-        via_table = np.einsum("ln,cln->cn", attn, rec.v.reshape(c, -1)[:, table])
+        via_table = np.einsum("ln,lnc->cn", attn, rec.v.reshape(-1, c)[table])
         worst = max(worst, _rel_diff(fast, cca_naive(x, p)),
                     _rel_diff(via_table.reshape(x.shape) + x, fast))
     for _ in range(cases_3d):

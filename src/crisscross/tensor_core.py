@@ -57,7 +57,8 @@ def softmax_axis(x: np.ndarray, axis: int) -> np.ndarray:
     x = np.asarray(x)
     if not -x.ndim <= axis < x.ndim:
         raise IndexError(f"softmax axis {axis} out of range for rank-{x.ndim} tensor")
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    e = np.subtract(x, x.max(axis=axis, keepdims=True), dtype=np.result_type(x, 1.0))
+    np.exp(e, out=e)
     e /= e.sum(axis=axis, keepdims=True)
     return e
 

@@ -138,8 +138,7 @@ def _forward_batch(model: ToyModel, task: ToyTask):
 
 def train_toy(task: ToyTask, init_seed: int, epochs: int, use_ccl: bool,
               cfg: CCLConfig, channels: int = 8, reduced_attn: int = 4,
-              loops: int = 2, lr: float = 0.05, momentum: float = 0.9,
-              ccl_lr_scale: float = 1.0) -> TrainResult:
+              loops: int = 2, lr: float = 0.05, momentum: float = 0.9) -> TrainResult:
     """Full-batch momentum gradient descent on the composite objective.
 
     Divergence (non-finite loss) is recorded, not raised: the result carries
@@ -189,8 +188,7 @@ def train_toy(task: ToyTask, init_seed: int, epochs: int, use_ccl: bool,
             z2 = d_z.reshape(d_z.shape[0], -1)
             f2 = f.reshape(f.shape[0], -1)
             grads["w_classify"] += z2 @ f2.T
-            d_f2 = model.w_classify.T @ z2
-            d_f2 = d_f2 + ccl_lr_scale * d_feat_ccl_cat[:, :, sl].reshape(d_f2.shape)
+            d_f2 = model.w_classify.T @ z2 + d_feat_ccl_cat[:, :, sl].reshape(f2.shape)
             out2 = outs[i].reshape(outs[i].shape[0], -1)
             grads["w_reduce"] += d_f2 @ out2.T
             d_out = (model.w_reduce.T @ d_f2).reshape(caches[i].shape)

@@ -50,7 +50,8 @@ class TestIndexMap:
 
 
 def affinity(q, k):
-    """Engine scores in crisscross_index_map order, (H+W-1, H, W)."""
+    """Engine scores of channels-last (H, W, C') arrays in
+    crisscross_index_map order, (H+W-1, H, W)."""
     return index_map_layout(_line_scores(q, k, 2))
 
 
@@ -64,42 +65,44 @@ def zero_duplicates(a):
 class TestAffinity:
     def test_single_position(self):
         rng = np.random.default_rng(3)
-        q = rng.normal(size=(2, 1, 1))
-        k = rng.normal(size=(2, 1, 1))
+        q = rng.normal(size=(1, 1, 2))
+        k = rng.normal(size=(1, 1, 2))
         d = affinity(q, k)
         assert d.shape == (1, 1, 1)
         assert d[0, 0, 0] == pytest.approx(float(q.ravel() @ k.ravel()))
 
     def test_constant_key_gives_constant_scores(self):
         rng = np.random.default_rng(4)
-        q = rng.normal(size=(2, 3, 2))
-        k = np.broadcast_to(rng.normal(size=(2, 1, 1)), (2, 3, 2)).copy()
+        q = rng.normal(size=(3, 2, 2))
+        k = np.broadcast_to(rng.normal(size=(1, 1, 2)), (3, 2, 2)).copy()
         d = affinity(q, k)
         assert np.abs(d - d[0]).max() < 1e-12
 
     def test_matches_triple_loop(self):
         rng = np.random.default_rng(5)
-        q = rng.normal(size=(2, 2, 3))
-        k = rng.normal(size=(2, 2, 3))
+        q = rng.normal(size=(2, 3, 2))
+        k = rng.normal(size=(2, 3, 2))
         d = affinity(q, k)
         for r in range(2):
             for c in range(3):
                 for i in range(4):
                     rr, cc = crisscross_index_map((r, c), i, 2, 3)
                     assert d[i, r, c] == pytest.approx(
-                        float(q[:, r, c] @ k[:, rr, cc]), abs=1e-12)
+                        float(q[r, c] @ k[rr, cc]), abs=1e-12)
 
 
 class TestAggregate:
+    """_line_apply on channels-last (H, W, C) values and residuals."""
+
     def test_normalized_weights_with_constant_values(self):
         rng = np.random.default_rng(6)
         h, w = 3, 4
         a = zero_duplicates(np.abs(rng.normal(size=(h, w, h + w))) + 0.1)
         a /= a.sum(axis=-1, keepdims=True)
-        const = rng.normal(size=(2, 1, 1))
-        v = np.broadcast_to(const, (2, h, w)).copy()
-        x = rng.normal(size=(2, h, w))
-        out = _line_apply(a, v, x.copy(), 2)
+        const = rng.normal(size=(1, 1, 2))
+        v = np.broadcast_to(const, (h, w, 2)).copy()
+        x = rng.normal(size=(h, w, 2))
+        out = _line_apply(a, v, 2, residual=x)
         assert np.abs(out - (x + const)).max() < 1e-12
 
     def test_one_hot_self_selection(self):
@@ -109,25 +112,25 @@ class TestAggregate:
             for c in range(w):
                 a[r, c, r] = 1.0  # entry r of the column block is u itself
         rng = np.random.default_rng(7)
-        v = rng.normal(size=(2, h, w))
-        x = rng.normal(size=(2, h, w))
-        assert np.abs(_line_apply(a, v, x.copy(), 2) - (x + v)).max() < 1e-12
+        v = rng.normal(size=(h, w, 2))
+        x = rng.normal(size=(h, w, 2))
+        assert np.abs(_line_apply(a, v, 2, residual=x) - (x + v)).max() < 1e-12
 
     def test_matches_triple_loop(self):
         rng = np.random.default_rng(8)
         h, w = 3, 4
         a = zero_duplicates(rng.normal(size=(h, w, h + w)))
-        v = rng.normal(size=(2, h, w))
-        x = rng.normal(size=(2, h, w))
-        out = _line_apply(a, v, x.copy(), 2)
+        v = rng.normal(size=(h, w, 2))
+        x = rng.normal(size=(h, w, 2))
+        out = _line_apply(a, v, 2, residual=x)
         a = index_map_layout(a)
         for r in range(h):
             for c in range(w):
-                expect = x[:, r, c].copy()
+                expect = x[r, c].copy()
                 for i in range(h + w - 1):
                     rr, cc = crisscross_index_map((r, c), i, h, w)
-                    expect += a[i, r, c] * v[:, rr, cc]
-                assert np.abs(out[:, r, c] - expect).max() < 1e-12
+                    expect += a[i, r, c] * v[rr, cc]
+                assert np.abs(out[r, c] - expect).max() < 1e-12
 
 
 class TestForward:

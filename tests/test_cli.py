@@ -191,6 +191,27 @@ class TestAttnDump:
         assert np.abs(maps["f32"] - maps["f64"]).max() < 1e-5
         assert not np.array_equal(maps["f32"], maps["f64"])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_input_exits_2_naming_it(self, capsys, tmp_path, value):
+        x = np.random.default_rng(0).normal(size=(4, 5, 6))
+        x[1, 2, 3] = value
+        path = tmp_path / "bad.cct"
+        save_tensor(x, path)
+        code, _, err = run(capsys, "attn-dump", "--input", str(path),
+                           "--u", "1,1", "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert str(path) in err and "non-finite" in err
+        assert not list(tmp_path.glob("x_loop*"))
+
+    def test_missing_output_directory_exits_2_before_work(self, capsys, tmp_path,
+                                                         tensor_file):
+        out = tmp_path / "missing" / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["attn-dump", "--input", str(tensor_file), "--u", "1,1",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--out: directory of" in capsys.readouterr().err
+
     def test_bad_file_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.cct"
         bad.write_bytes(b"not a tensor")
@@ -219,6 +240,15 @@ class TestTrainToy:
             last = path.read_text().strip().splitlines()[-1]
             outs[mode] = float(last.split(",")[7])  # intra_var column
         assert outs["on"] <= outs["off"]
+
+    def test_missing_output_directory_exits_2_before_training(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["train-toy", "--epochs", "1",
+                  "--out", str(tmp_path / "missing" / "x.csv")])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert "--out: directory of" in out.err
+        assert "epoch" not in out.out
 
     def test_repeat_reports_success_rate(self, capsys, tmp_path):
         code, out, _ = run(capsys, "train-toy", "--epochs", "2", "--repeat",

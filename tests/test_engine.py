@@ -1,6 +1,8 @@
 """The axial engine: line-layout attention, degenerate grids, float32, and
 the attention-mass propagation, each against an independent reference."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -94,12 +96,71 @@ class TestLayouts:
             assert np.array_equal(np.isinf(_duplicate_mask(spatial)),
                                   (nbr == own) & later_block)
 
+    def test_mask_is_built_in_the_real_dtype_of_the_scores(self):
+        for dtype in (np.float32, np.float64, np.complex128):
+            x = np.ones((3, 2, 4), dtype=dtype)
+            p = CCAttentionParams.random(3, 1, np.random.default_rng(0))
+            _, cache = rcca_forward(x, p, 1)
+            assert cache.records[0].attn.dtype == dtype
+            assert _duplicate_mask((2, 4), x.real.dtype).dtype == x.real.dtype
+        assert _duplicate_mask((2, 4)).dtype == np.float64
+
     def test_cached_attention_is_zero_on_duplicates(self):
         for shape in ((4, 3, 5), (3, 2, 3, 2)):
             _, cache, _ = forward_and_oracle(shape, seed=1)
             duplicates = np.isinf(_duplicate_mask(shape[1:]))
             assert np.count_nonzero(duplicates) == (len(shape) - 2) * np.prod(shape[1:])
             assert not cache.records[0].attn[duplicates].any()
+
+
+class TestChannelsLast:
+    """The engine runs channels-last internally; the public arrays stay
+    (C, *S), C-contiguous, and nothing the caller holds is written."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(4, 3, 5), (3, 2, 3, 4)])
+    def test_inputs_and_cache_are_not_modified(self, shape, dtype):
+        rng = np.random.default_rng(7)
+        p = CCAttentionParams.random(shape[0], 2, rng)
+        x = rng.normal(size=shape).astype(dtype)
+        d_out = rng.normal(size=shape).astype(dtype)
+        x0, d_out0 = x.copy(), d_out.copy()
+        out, cache = rcca_forward(x, p, 2)
+        held = [a.copy() for rec in cache.records
+                for a in (rec.x, rec.q, rec.k, rec.v, rec.attn)]
+        d_x, grads = rcca_backward(cache, d_out)
+        again, grads_again = rcca_backward(cache, d_out)
+        assert np.array_equal(x, x0) and np.array_equal(d_out, d_out0)
+        assert all(np.array_equal(a, b) for a, b in zip(
+            held, (a for rec in cache.records
+                   for a in (rec.x, rec.q, rec.k, rec.v, rec.attn))))
+        assert np.array_equal(again, d_x)
+        for name in ("d_wq", "d_wk", "d_wv"):
+            assert np.array_equal(getattr(grads_again, name), getattr(grads, name))
+        for a in (out, d_x):
+            assert a.flags.c_contiguous and a.shape == shape and a.dtype == dtype
+
+    @pytest.mark.parametrize("shape,reduced", [((64, 48, 48), 8), ((32, 8, 24, 24), 4)])
+    def test_peak_stays_near_the_buffer_ledger(self, shape, reduced):
+        """Per loop the engine keeps q/k/v, (2C'+C)N, the line-layout
+        attention, N sum(S), and the output, CN; R=2 forward plus backward
+        stays within 1.9x of those buffers."""
+        rng = np.random.default_rng(0)
+        p = CCAttentionParams.random(shape[0], reduced, rng)
+        x = rng.normal(size=shape)
+        c, n = shape[0], int(np.prod(shape[1:]))
+        ledger = 2 * ((2 * reduced + c) * n + n * sum(shape[1:]) + c * n) * x.itemsize
+        out, cache = rcca_forward(x, p, 2)  # warm-up: fills the mask cache
+        rcca_backward(cache, out)
+        del out, cache
+        tracemalloc.start()
+        try:
+            out, cache = rcca_forward(x, p, 2)
+            rcca_backward(cache, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.9 * ledger
 
 
 class TestRank:

@@ -81,7 +81,7 @@ class TestGate:
 
         def planted(rec, d_out, w_qkv):
             d_x, d_w = exact(rec, d_out, w_qkv)
-            d_w[2 * len(rec.q):] *= 1.0 + 1e-7
+            d_w[2 * rec.q.shape[-1]:] *= 1.0 + 1e-7
             return d_x, d_w
 
         monkeypatch.setattr(cca2d, "_attention_backward", planted)
