@@ -85,6 +85,7 @@ class LoopRecord:
     k: np.ndarray        # (*S, C')
     v: np.ndarray        # (*S, C)
     attn: np.ndarray     # post-softmax, line layout (*S, sum(S))
+    rank: int            # spatial axes; any before them are a batch
 
 
 @dataclass
@@ -212,7 +213,7 @@ def _attention_forward(x: np.ndarray, w_qkv: np.ndarray, reduced: int, rank: int
     attn = softmax_axis(scores, axis=-1)
     del scores  # freed before the aggregation allocates its output
     out = _line_apply(attn, v, rank, residual=x)
-    return out, LoopRecord(x=x, q=q, k=k, v=v, attn=attn)
+    return out, LoopRecord(x=x, q=q, k=k, v=v, attn=attn, rank=rank)
 
 
 def _recurrence(x: np.ndarray, w_qkv: np.ndarray, reduced: int, loops: int,
@@ -227,18 +228,31 @@ def _recurrence(x: np.ndarray, w_qkv: np.ndarray, reduced: int, loops: int,
     return np.ascontiguousarray(x.transpose(to_first)), records
 
 
+def _recurrence_backward(records: list, d_out: np.ndarray, w_qkv: np.ndarray,
+                         rank: int) -> tuple:
+    """Reverse mode through _recurrence's records with one (M, C) weight stack
+    for a (*B, C, *S) gradient: the C-contiguous input gradient in that layout
+    and the weight-stack gradient summed over loops and items."""
+    to_last, to_first, _ = _axis_plan(d_out.shape[-rank:], d_out.ndim - rank - 1)
+    d, total = np.ascontiguousarray(d_out.transpose(to_last), dtype=records[0].x.dtype), 0
+    for rec in reversed(records):
+        d, d_w = _attention_backward(rec, d, w_qkv)
+        total = total + d_w
+    return np.ascontiguousarray(d.transpose(to_first)), total
+
+
 def _attention_backward(rec: LoopRecord, d_out: np.ndarray, w_qkv: np.ndarray):
-    """(d_x, gradient of the stacked weights) of one cached pass, channels-last."""
-    attn, reduced, rank = rec.attn, rec.q.shape[-1], rec.x.ndim - 1
+    """(d_x, (M, C) weight-stack gradient summed over items) of one cached pass."""
+    attn, reduced, rank, m = rec.attn, rec.q.shape[-1], rec.rank, w_qkv.shape[0]
     d_attn = _line_scores(d_out, rec.v, rank)
     # softmax over the criss-cross set, in place; the duplicates have attn = 0
     d_attn -= np.einsum("...z,...z->...", attn, d_attn)[..., None]
     d_attn *= attn
-    d_qkv = np.empty(d_out.shape[:-1] + (len(w_qkv),), dtype=d_out.dtype)
+    d_qkv = np.empty(d_out.shape[:-1] + (m,), dtype=d_out.dtype)
     _line_apply(d_attn, rec.k, rank, out=d_qkv[..., :reduced])
     _line_apply(d_attn, rec.q, rank, transpose=True, out=d_qkv[..., reduced:2 * reduced])
     _line_apply(attn, d_out, rank, transpose=True, out=d_qkv[..., 2 * reduced:])
-    d_qkv = d_qkv.reshape(-1, len(w_qkv))
+    d_qkv = d_qkv.reshape(-1, m)
     d_x = (d_qkv @ w_qkv).reshape(d_out.shape)
     d_x += d_out
     return d_x, d_qkv.T @ rec.x.reshape(-1, rec.x.shape[-1])
@@ -317,13 +331,7 @@ def rcca_backward(cache: ForwardCache, d_out: np.ndarray) -> tuple:
         raise CacheMismatchError(
             f"gradient shape {d_out.shape} does not match cached forward {cache.shape}"
         )
-    dtype = cache.records[0].x.dtype
-    w_qkv = _stacked_weights(cache.params, dtype)
-    to_last, to_first, _ = _axis_plan(cache.shape[1:], 0)
-    d, total = np.ascontiguousarray(d_out.transpose(to_last), dtype=dtype), 0
-    for rec in reversed(cache.records):
-        d, d_w = _attention_backward(rec, d, w_qkv)
-        total = total + d_w
+    w_qkv = _stacked_weights(cache.params, cache.records[0].x.dtype)
+    d_x, total = _recurrence_backward(cache.records, d_out, w_qkv, len(cache.shape) - 1)
     cr = cache.params.reduced_channels
-    return (np.ascontiguousarray(d.transpose(to_first)),
-            CCAttentionGrads(d_wq=total[:cr], d_wk=total[cr:2 * cr], d_wv=total[2 * cr:]))
+    return (d_x, CCAttentionGrads(d_wq=total[:cr], d_wk=total[cr:2 * cr], d_wv=total[2 * cr:]))

@@ -156,7 +156,8 @@ def cmd_attn_dump(args) -> int:
         print(f"attention dump needs a rank-3 tensor, got rank {x.ndim}",
               file=sys.stderr)
         return 2
-    x = x.astype({"f32": np.float32, "f64": np.float64}[args.precision], copy=False)
+    with np.errstate(over="ignore"):  # a value beyond float32 reads as inf below
+        x = x.astype({"f32": np.float32, "f64": np.float64}[args.precision], copy=False)
     if not np.isfinite(x).all():
         print(f"{args.input} holds non-finite {args.precision} values", file=sys.stderr)
         return 2
@@ -176,7 +177,11 @@ def cmd_attn_dump(args) -> int:
         return 2
     rng = np.random.default_rng(_default_seed())
     p = CCAttentionParams.random(c, max(1, c // 2), rng)
-    _out, cache = rcca_forward(x, p, args.loops)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _out, cache = rcca_forward(x, p, args.loops)
+    if not all(np.isfinite(rec.attn).all() for rec in cache.records):
+        print(f"attention scores of {args.input} overflow {args.precision}", file=sys.stderr)
+        return 2
     # the dump shows where attention mass comes from, not the identity path
     for loop, mass in enumerate(attention_mass(cache, (row, col)), start=1):
         _write_pgm(f"{args.out}_loop{loop}.pgm", mass)

@@ -169,8 +169,9 @@ def class_stats(features: np.ndarray, labels: np.ndarray) -> ClassStats:
     rows = rows[valid]
     k = int(keep.sum())
     counts = np.bincount(rows, minlength=k)
-    means = _class_sums(flat_f[..., valid], rows, k) / counts
-    offsets = means[..., rows] - flat_f[..., valid]
+    kept = flat_f.compress(valid, axis=-1)
+    means = _class_sums(kept, rows, k) / counts
+    offsets = means.take(rows, axis=-1) - kept
     centre_offsets = means[..., :, None] - means[..., None, :]
     return ClassStats(classes[keep], valid, rows, counts, means, offsets, _norms(offsets, -2),
                       centre_offsets, _norms(centre_offsets, -3))
@@ -199,12 +200,13 @@ def ccl_loss(features: np.ndarray, labels: np.ndarray, cfg: CCLConfig,
     st = class_stats(features, labels)
     nc = st.classes.size
     per_pixel = 1.0 / (max(nc, 1) * st.counts[st.rows])  # 1 / (K * N_c) per position
-    pairs = ~np.eye(nc, dtype=bool)  # ordered pairs a != b
+    pairs = np.flatnonzero(~np.eye(nc, dtype=bool))  # ordered pairs a != b
     pair_norm = max(nc * (nc - 1), 1)
     norms = _norms(st.means, -2)
 
     l_var = _total(phi_var(st.dist, cfg) * per_pixel)
-    l_dis = _total(phi_dis(st.centre_dist[..., pairs], cfg)) / pair_norm
+    centre_dist = st.centre_dist.reshape(st.centre_dist.shape[:-2] + (-1,))
+    l_dis = _total(phi_dis(centre_dist.take(pairs, axis=-1), cfg)) / pair_norm
     l_reg = _total(norms) / max(nc, 1)
     breakdown = CCLBreakdown(l_var=l_var, l_dis=l_dis, l_reg=l_reg, stats=st)
     if not want_grad:
@@ -252,12 +254,14 @@ def cross_entropy_seg(logits: np.ndarray, labels: np.ndarray):
     if count == 0:
         raise ValueError("cross entropy undefined: every position carries the ignore id")
     shifted = flat_logits - flat_logits.max(axis=-2, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=-2, keepdims=True))
-    probs = np.exp(shifted - log_z)
+    log_z = np.log(np.exp(shifted).sum(axis=-2))
+    probs = np.exp(shifted - log_z[..., None, :])
+    # take along the last axis, which costs the same for one map and a stack
     idx = np.flatnonzero(valid)
-    lab = flat_l[idx].astype(np.int64)
-    loss = -_total(shifted[..., lab, idx] - log_z[..., 0, idx]) / count
-    grad = np.zeros(flat_logits.shape, dtype=np.promote_types(probs.dtype, np.float64))
-    grad[..., idx] = probs[..., idx] / count
-    grad[..., lab, idx] -= 1.0 / count
+    at_label = flat_l[idx].astype(np.int64) * flat_l.size + idx  # flat (class, position)
+    picked = shifted.reshape(shifted.shape[:-2] + (-1,)).take(at_label, axis=-1)
+    loss = -_total(picked - log_z.take(idx, axis=-1)) / count
+    one_hot = (np.arange(shifted.shape[-2])[:, None] == flat_l) & valid
+    grad = np.where(valid, probs, np.float64(0.0)) / count  # float64 or complex128
+    grad -= one_hot / count
     return loss, grad.reshape(logits.shape)

@@ -11,9 +11,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cca2d import CCAttentionParams, rcca_backward, rcca_forward
+from .cca2d import CCAttentionParams, _recurrence, _recurrence_backward, _stacked_weights
+# unused here, but the benchmark's tracer (perfbench/tracing.py) binds these names
+from .cca2d import rcca_backward, rcca_forward  # noqa: F401
 from .losses import CCLConfig, ClassStats, ccl_loss, cross_entropy_seg, total_loss
-from .tensor_core import ProjectionWeights
 
 CLASS_MARGIN = 1.5
 NOISE_SIGMA = 0.3
@@ -30,7 +31,8 @@ class ToyTask:
 @dataclass
 class ToyModel:
     w_in: np.ndarray        # (C, Cin)
-    attention: CCAttentionParams
+    w_qkv: np.ndarray       # (2C'+C, C): attention query, key and value rows
+    reduced_attn: int       # C'
     w_reduce: np.ndarray    # (Cr, C)
     w_classify: np.ndarray  # (K, Cr)
     loops: int
@@ -42,7 +44,9 @@ class ToyModel:
         scale = 0.2
         return ToyModel(
             w_in=rng.normal(0.0, scale, (channels, cin)),
-            attention=CCAttentionParams.random(channels, reduced_attn, rng, scale),
+            w_qkv=_stacked_weights(
+                CCAttentionParams.random(channels, reduced_attn, rng, scale), np.float64),
+            reduced_attn=reduced_attn,
             w_reduce=rng.normal(0.0, scale, (reduced_loss, channels)),
             w_classify=rng.normal(0.0, scale, (num_classes, reduced_loss)),
             loops=loops,
@@ -113,33 +117,55 @@ def _feature_stats(st: ClassStats) -> tuple:
     distance) over the classes present."""
     k = st.classes.size
     sq = np.bincount(st.rows, (st.offsets * st.offsets).sum(axis=0), minlength=k)
-    pairs = st.centre_dist[np.triu_indices(k, 1)]
+    pairs = st.centre_dist[np.arange(k)[:, None] < np.arange(k)]  # as np.triu_indices(k, 1)
     return float((sq / st.counts).sum() / max(k, 1)), float(pairs.sum() / max(pairs.size, 1))
 
 
-def _forward_batch(model: ToyModel, task: ToyTask):
-    """Run the head on every image; features/logits concatenated along width
-    so the loss sees joint per-batch class means."""
-    outs, feats, logits, caches = [], [], [], []
-    for x in task.images:
-        h = model.w_in @ x.reshape(x.shape[0], -1)
-        h = h.reshape(model.w_in.shape[0], x.shape[1], x.shape[2])
-        out, cache = rcca_forward(h, model.attention, model.loops)
-        f = (model.w_reduce @ out.reshape(out.shape[0], -1)).reshape(
-            model.w_reduce.shape[0], x.shape[1], x.shape[2])
-        z = (model.w_classify @ f.reshape(f.shape[0], -1)).reshape(
-            model.w_classify.shape[0], x.shape[1], x.shape[2])
-        outs.append(out)
-        caches.append(cache)
-        feats.append(f)
-        logits.append(z)
-    return outs, caches, feats, logits
+def _forward_batch(model: ToyModel, images: np.ndarray):
+    """Run the head on a whole (n, Cin, H, W) batch: one input projection and
+    one recurrent attention call, then one reduction and one classifier
+    product on the (C, H*n*W) map of the outputs side by side. Returns that
+    map, the loop records and the (Cr, H, n*W) features and (K, H, n*W) logits."""
+    n, cin, h, w = images.shape
+    x = (model.w_in @ images.reshape(n, cin, -1)).reshape(n, -1, h, w)
+    out, records = _recurrence(x, model.w_qkv, model.reduced_attn, model.loops, 2)
+    out = out.transpose(1, 2, 0, 3).reshape(out.shape[1], -1)
+    feats, side = model.w_reduce @ out, (-1, h, n * w)
+    return out, records, feats.reshape(side), (model.w_classify @ feats).reshape(side)
+
+
+def _evaluate_and_grad(model: ToyModel, task: ToyTask, labels: np.ndarray,
+                       use_ccl: bool, cfg: CCLConfig) -> tuple:
+    """(metrics, gradients by weight name) of the composite loss on the whole
+    batch. The losses see the images side by side, with the (H, n*W)
+    ``labels``, so the class means are joint across images."""
+    n, cin, h, w = task.images.shape
+    out, records, f, z = _forward_batch(model, task.images)
+    seg, d_z = cross_entropy_seg(z, labels)
+    if use_ccl:
+        ccl, d_f = ccl_loss(f, labels, cfg, want_grad=True)
+        total = total_loss(seg, ccl, cfg)
+    else:
+        ccl, d_f, total = ccl_loss(f, labels, cfg), np.zeros_like(f), seg
+    acc = float((z.argmax(axis=0) == labels).mean())
+    intra, inter = _feature_stats(ccl.stats)
+
+    d_z, f = d_z.reshape(len(z), -1), f.reshape(len(f), -1)
+    d_f = model.w_classify.T @ d_z + d_f.reshape(f.shape)
+    d_out = (model.w_reduce.T @ d_f).reshape(-1, h, n, w).transpose(2, 0, 1, 3)
+    d_x, d_qkv = _recurrence_backward(records, d_out, model.w_qkv, 2)
+    x = task.images.reshape(n, cin, -1)
+    grads = {"w_in": (d_x.reshape(n, -1, h * w) @ x.swapaxes(1, 2)).sum(axis=0),
+             "w_qkv": d_qkv, "w_reduce": d_f @ out.T, "w_classify": d_z @ f.T}
+    return (total, seg, ccl.l_var, ccl.l_dis, ccl.l_reg, acc, intra, inter), grads
 
 
 def train_toy(task: ToyTask, init_seed: int, epochs: int, use_ccl: bool,
               cfg: CCLConfig, channels: int = 8, reduced_attn: int = 4,
               loops: int = 2, lr: float = 0.05, momentum: float = 0.9) -> TrainResult:
-    """Full-batch momentum gradient descent on the composite objective.
+    """Full-batch momentum gradient descent on the composite objective; each
+    epoch runs the whole image batch through one attention forward and one
+    backward.
 
     Divergence (non-finite loss) is recorded, not raised: the result carries
     the failing epoch and the metrics collected so far.
@@ -149,58 +175,14 @@ def train_toy(task: ToyTask, init_seed: int, epochs: int, use_ccl: bool,
     cin = task.images.shape[1]
     model = ToyModel.init(init_seed, cin, channels, reduced_attn,
                           cfg.reduced_channels, task.num_classes, loops)
+    labels = task.labels.transpose(1, 0, 2).reshape(task.labels.shape[1], -1)
     result = TrainResult()
-
-    velocity = {name: 0.0 for name in
-                ("w_in", "wq", "wk", "wv", "w_reduce", "w_classify")}
+    velocity = dict.fromkeys(("w_in", "w_qkv", "w_reduce", "w_classify"), 0.0)
 
     def evaluate_and_grad():
         # divergence shows up as inf/nan and is recorded, not raised
         with np.errstate(all="ignore"):
-            return _evaluate_and_grad()
-
-    def _evaluate_and_grad():
-        outs, caches, feats, logits = _forward_batch(model, task)
-        n = len(feats)
-        cat_f = np.concatenate(feats, axis=2)
-        cat_z = np.concatenate(logits, axis=2)
-        cat_l = np.concatenate(list(task.labels), axis=1)
-        seg, d_logits_cat = cross_entropy_seg(cat_z, cat_l)
-        if use_ccl:
-            ccl, d_feat_ccl_cat = ccl_loss(cat_f, cat_l, cfg, want_grad=True)
-        else:
-            ccl = ccl_loss(cat_f, cat_l, cfg)
-            d_feat_ccl_cat = np.zeros_like(cat_f)
-        total = total_loss(seg, ccl, cfg) if use_ccl else seg
-
-        acc = float((cat_z.argmax(axis=0) == cat_l).mean())
-        intra, inter = _feature_stats(ccl.stats)
-
-        grads = {name: np.zeros_like(arr) for name, arr in (
-            ("w_in", model.w_in), ("wq", model.attention.wq.weight),
-            ("wk", model.attention.wk.weight), ("wv", model.attention.wv.weight),
-            ("w_reduce", model.w_reduce), ("w_classify", model.w_classify))}
-        w = task.images.shape[3]
-        for i in range(n):
-            sl = slice(i * w, (i + 1) * w)
-            d_z = d_logits_cat[:, :, sl]
-            f = feats[i]
-            z2 = d_z.reshape(d_z.shape[0], -1)
-            f2 = f.reshape(f.shape[0], -1)
-            grads["w_classify"] += z2 @ f2.T
-            d_f2 = model.w_classify.T @ z2 + d_feat_ccl_cat[:, :, sl].reshape(f2.shape)
-            out2 = outs[i].reshape(outs[i].shape[0], -1)
-            grads["w_reduce"] += d_f2 @ out2.T
-            d_out = (model.w_reduce.T @ d_f2).reshape(caches[i].shape)
-            d_h, att_g = rcca_backward(caches[i], d_out)
-            grads["wq"] += att_g.d_wq
-            grads["wk"] += att_g.d_wk
-            grads["wv"] += att_g.d_wv
-            x2 = task.images[i].reshape(cin, -1)
-            grads["w_in"] += d_h.reshape(d_h.shape[0], -1) @ x2.T
-        metrics_vals = (total, seg, ccl.l_var, ccl.l_dis, ccl.l_reg, acc,
-                        intra, inter)
-        return metrics_vals, grads
+            return _evaluate_and_grad(model, task, labels, use_ccl, cfg)
 
     def record(epoch, vals):
         result.metrics.append(EpochMetrics(epoch, *vals))
@@ -215,14 +197,7 @@ def train_toy(task: ToyTask, init_seed: int, epochs: int, use_ccl: bool,
     for epoch in range(1, epochs + 1):
         for name in velocity:
             velocity[name] = momentum * velocity[name] - lr * grads[name]
-        model.w_in = model.w_in + velocity["w_in"]
-        model.w_reduce = model.w_reduce + velocity["w_reduce"]
-        model.w_classify = model.w_classify + velocity["w_classify"]
-        model.attention = CCAttentionParams(
-            wq=ProjectionWeights(model.attention.wq.weight + velocity["wq"]),
-            wk=ProjectionWeights(model.attention.wk.weight + velocity["wk"]),
-            wv=ProjectionWeights(model.attention.wv.weight + velocity["wv"]),
-        )
+            setattr(model, name, getattr(model, name) + velocity[name])
         try:
             vals, grads = evaluate_and_grad()
         except (FloatingPointError, ValueError):

@@ -1,5 +1,6 @@
 import csv
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -201,6 +202,19 @@ class TestAttnDump:
                            "--u", "1,1", "--out", str(tmp_path / "x"))
         assert code == 2
         assert str(path) in err and "non-finite" in err
+        assert not list(tmp_path.glob("x_loop*"))
+
+    def test_overflowing_scores_exit_2_without_warnings(self, capsys, tmp_path):
+        # finite input whose q.k overflows: the softmax would compute inf - inf
+        x = np.random.default_rng(0).normal(size=(4, 5, 6)) * 1e200
+        path = tmp_path / "huge.cct"
+        save_tensor(x, path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, "attn-dump", "--input", str(path),
+                               "--u", "1,1", "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert str(path) in err and "overflow" in err
         assert not list(tmp_path.glob("x_loop*"))
 
     def test_missing_output_directory_exits_2_before_work(self, capsys, tmp_path,

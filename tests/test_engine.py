@@ -12,6 +12,7 @@ from crisscross.cca2d import (
     CCAttentionParams,
     _duplicate_mask,
     _recurrence,
+    _recurrence_backward,
     _stacked_weights,
     attention_mass,
     build_gather_table_2d,
@@ -300,6 +301,31 @@ class TestBatchAndComplex:
         assert all(rec.attn.dtype == np.complex128 for rec in cache.records)
         assert np.abs(out.imag).max() > 0
         assert rel_diff(out.real, out64) < 1e-12
+
+
+class TestBatchedBackward:
+    """_recurrence_backward on a (B, C, *S) stack with one weight stack is
+    the per-item rcca_backward, with the weight gradient summed over items."""
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("shape", [(4, 3, 5), (3, 2, 3, 4)])
+    def test_stack_equals_per_item_backward(self, shape, batch, dtype, tol):
+        rng = np.random.default_rng(batch)
+        p = CCAttentionParams.random(shape[0], 2, rng)
+        xs = rng.normal(size=(batch,) + shape).astype(dtype)
+        d_outs = rng.normal(size=(batch,) + shape).astype(dtype)
+        w_qkv, rank = _stacked_weights(p, dtype), len(shape) - 1
+        _, records = _recurrence(xs, w_qkv, 2, 2, rank)
+        d_xs, d_w = _recurrence_backward(records, d_outs, w_qkv, rank)
+        assert d_xs.shape == xs.shape and d_w.shape == w_qkv.shape
+        assert d_xs.dtype == d_w.dtype == dtype and d_xs.flags.c_contiguous
+        total = 0
+        for x, d_out, d_x in zip(xs, d_outs, d_xs):
+            ref, grads = rcca_backward(rcca_forward(x, p, 2)[1], d_out)
+            assert rel_diff(d_x, ref) <= tol
+            total = total + np.concatenate([grads.d_wq, grads.d_wk, grads.d_wv])
+        assert rel_diff(d_w, total) <= tol
 
 
 class TestAttentionMass:

@@ -1,8 +1,20 @@
+import runpy
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from crisscross.losses import IGNORE_ID, CCLConfig, class_stats
-from crisscross.toytrain import CLASS_MARGIN, _feature_stats, gen_toy, train_toy
+from crisscross.toytrain import (
+    CLASS_MARGIN,
+    ToyModel,
+    _evaluate_and_grad,
+    _feature_stats,
+    gen_toy,
+    train_toy,
+)
 
 CFG = CCLConfig()
 
@@ -94,3 +106,47 @@ class TestTrainToy:
         assert res.failed
         assert 0 < res.fail_epoch <= 60
         assert len(res.metrics) == res.fail_epoch
+
+
+class TestBatchedStep:
+    """One training step runs the whole image batch through one attention
+    forward and one backward; nothing in it assumes two images."""
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("use_ccl,phi", [(False, "piecewise"), (True, "quadratic")])
+    def test_any_batch_size_trains(self, n, use_ccl, phi):
+        task = gen_toy(6, n=n, h=8, w=10, k=3)
+        res = train_toy(task, init_seed=6, epochs=15, use_ccl=use_ccl,
+                        cfg=CCLConfig(phi_variant=phi))
+        assert not res.failed and len(res.metrics) == 16
+        assert all(np.isfinite(m.total) for m in res.metrics)
+        assert res.metrics[-1].total < res.metrics[0].total
+
+    @pytest.mark.parametrize("use_ccl", [False, True])
+    def test_gradients_match_central_differences(self, use_ccl):
+        """Each weight's gradient, read along a random direction, against a
+        central difference of the loss, on three non-square images."""
+        task = gen_toy(7, n=3, h=8, w=10, k=3)
+        cfg = CCLConfig(phi_variant="quadratic")
+        labels = task.labels.transpose(1, 0, 2).reshape(8, -1)
+        model = ToyModel.init(7, 3, 8, 4, cfg.reduced_channels, 3, 2)
+        _, grads = _evaluate_and_grad(model, task, labels, use_ccl, cfg)
+        rng, step = np.random.default_rng(0), 1e-6
+        for name, g in grads.items():
+            direction = rng.normal(size=g.shape)
+            w = getattr(model, name)
+            up, down = (_evaluate_and_grad(replace(model, **{name: w + s * direction}),
+                                           task, labels, use_ccl, cfg)[0][0]
+                        for s in (step, -step))
+            fd = (up - down) / (2 * step)
+            assert abs(float((g * direction).sum()) - fd) <= 1e-8 * max(1.0, abs(fd)), name
+
+
+def test_experiment_script_runs_in_process(monkeypatch, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_toy_experiments.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--seeds", "1", "--epochs", "2"])
+    runpy.run_path(str(script), run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "seed,variant,ccl,ok,pixel_acc,intra_var,inter_dist"
+    # one seed: piecewise with and without the loss, quadratic with it
+    assert len(lines) == 5 and lines[-1].startswith("# success piecewise 1/1")
