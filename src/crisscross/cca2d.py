@@ -4,13 +4,13 @@ axial engine and one entry pair, rcca_forward and rcca_backward, for both.
 The criss-cross set of a position is the union of the axis lines through it
 (H+W-1 positions in 2D, T+H+W-2 in 3D). The engine scores each axis's lines
 as one batched matrix product, sets the duplicate self entry of every axis
-after the first to -inf, and runs one joint softmax. Attention arrays use
-this *line layout*, (*S, sum(S)): block m holds the weights over the line
-along spatial axis m, zero at the duplicates. Aggregation and backward are
-batched products over the same lines, on channels-last (*S, C) maps whose
-lines along every axis are BLAS-ready views; public arrays stay (C, *S). The
-index maps and gather tables (the *index-map layout*) are the definitional
-enumeration, for verification only.
+after the first to -inf, and runs one joint softmax in the scores buffer.
+Attention arrays use this *line layout*, (*S, sum(S)): block m holds the
+weights over the line along spatial axis m, zero at the duplicates.
+Aggregation and backward are batched products over the same lines, on
+channels-last (*S, C) maps whose lines along every axis are BLAS-ready
+views; public arrays stay (C, *S). The index maps and gather tables (the
+*index-map layout*) are the definitional enumeration, for verification only.
 """
 
 from __future__ import annotations
@@ -158,16 +158,11 @@ def _axis_plan(spatial: tuple, lead: int) -> tuple:
     return batch + grid[1:] + (lead + rank, lead), batch + (lead + rank,) + grid, tuple(lines)
 
 
-@lru_cache(maxsize=16)
-def _duplicate_mask(spatial: tuple, dtype=np.dtype(np.float64)) -> np.ndarray:
-    """Additive (*S, sum(S)) score mask in ``dtype``, -inf on the duplicate self
-    entries and 0 elsewhere; read-only, since every call on this grid shares it."""
-    axis = np.repeat(np.arange(len(spatial)), spatial)
-    z = np.concatenate([np.arange(s) for s in spatial])
-    own = np.indices(spatial)[axis]  # (sum(S), *S): the coordinate each block walks
-    mask = np.where((axis > 0) & (np.moveaxis(own, 0, -1) == z), -np.inf, 0.0).astype(dtype)
-    mask.setflags(write=False)
-    return mask
+def _duplicates(a: np.ndarray, rank: int):
+    """Writable views of the duplicate self entries of a line-layout array
+    (*B, *S, sum(S)): the diagonal of each block after the first."""
+    for to_line, lo, hi in _axis_plan(a.shape[-rank - 1:-1], a.ndim - rank - 1)[2][1:]:
+        yield np.einsum("...ii->...i", a[..., lo:hi].transpose(to_line))
 
 
 def _line_scores(a: np.ndarray, b: np.ndarray, rank: int) -> np.ndarray:
@@ -209,9 +204,9 @@ def _attention_forward(x: np.ndarray, w_qkv: np.ndarray, reduced: int, rank: int
     qkv = qkv.reshape(x.shape[:-1] + (-1,))
     q, k, v = qkv[..., :reduced], qkv[..., reduced:2 * reduced], qkv[..., 2 * reduced:]
     scores = _line_scores(q, k, rank)
-    scores += _duplicate_mask(x.shape[-rank - 1:-1], scores.real.dtype)
-    attn = softmax_axis(scores, axis=-1)
-    del scores  # freed before the aggregation allocates its output
+    for diagonal in _duplicates(scores, rank):
+        diagonal[...] = -np.inf
+    attn = softmax_axis(scores, axis=-1, out=scores)
     out = _line_apply(attn, v, rank, residual=x)
     return out, LoopRecord(x=x, q=q, k=k, v=v, attn=attn, rank=rank)
 
@@ -267,8 +262,10 @@ def index_map_layout(a: np.ndarray) -> np.ndarray:
     duplicates and in crisscross_index_map / crisscross_index_map_3d order."""
     spatial = a.shape[:-1]
     size = sum(spatial) - len(spatial) + 1
-    kept = a[np.isfinite(_duplicate_mask(spatial))]
-    return kept.reshape(-1, size).T.reshape((size,) + spatial)
+    keep = np.ones(a.shape, dtype=bool)
+    for diagonal in _duplicates(keep, len(spatial)):
+        diagonal[...] = False
+    return a[keep].reshape(-1, size).T.reshape((size,) + spatial)
 
 
 def attention_mass(cache: ForwardCache, u: tuple) -> list:
@@ -313,9 +310,7 @@ def rcca_forward(x: np.ndarray, p: CCAttentionParams, loops: int) -> tuple:
 
 # cca_forward reaches rcca_forward through this private name, so that a
 # rebound public name (the benchmark's traced run wraps it) does not nest a
-# second forward inside a single-pass call. The selftest's complex-step
-# influence scan calls it too, so that its complex calls are not priced as
-# real forwards.
+# second forward inside a single-pass call.
 _rcca_forward = rcca_forward
 
 

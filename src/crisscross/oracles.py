@@ -1,7 +1,7 @@
 """Deliberately slow, obviously correct references.
 
-Everything here is scalar loops or brute-force complex-step derivatives;
-these functions exist only to be trusted, never to be fast.
+Everything here is scalar loops or brute-force complex-step derivatives from
+one stacked call; these functions exist only to be trusted, never to be fast.
 """
 
 from __future__ import annotations
@@ -140,20 +140,21 @@ def _complex_step(f, *arrays, step: float = _STEP) -> list:
         stack[:] = a.reshape(-1)
         stack[start + np.arange(a.size), np.arange(a.size)] += 1j * step
         stacks.append(stack.reshape((starts[-1],) + a.shape))
-    d = np.asarray(f(*stacks)).imag / step
+    d = np.asarray(f(*stacks))
+    if d.shape[:1] != (starts[-1],):
+        raise ValueError(f"f must return a (B, ...) stack, B = {starts[-1]}; got {d.shape}")
     return [part.reshape(a.shape + d.shape[1:])
-            for part, a in zip(np.split(d, starts[1:-1]), arrays)]
+            for part, a in zip(np.split(d.imag / step, starts[1:-1]), arrays)]
 
 
 def jacobian_fd(f, x: np.ndarray, step: float = _STEP) -> np.ndarray:
-    """Complex-step Jacobian of f: flat(out) by flat(in). ``f`` takes one
-    input and must be analytic in it (no abs, conj or cast to real); it is
-    called once per input entry."""
+    """Complex-step Jacobian of f, flat(out) by flat(in), from one call: f maps
+    a (B, *x.shape) complex stack, entry j perturbed in item j, analytically to
+    (B, *out). A per-input g fits as ``lambda ys: np.stack([g(y) for y in ys])``."""
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     x = np.asarray(x, dtype=np.float64)
-    (jac,) = _complex_step(lambda xs: [np.ravel(f(xj)) for xj in xs], x, step=step)
-    return jac.reshape(x.size, -1).T
+    return _complex_step(f, x, step=step)[0].reshape(x.size, -1).T
 
 
 @dataclass
@@ -174,7 +175,8 @@ class InfluencePattern:
 def influence_scan(f, x: np.ndarray, threshold: float = 1e-12,
                    step: float = _STEP) -> InfluencePattern:
     """Complex-step position-to-position sensitivity: (u, theta) is set iff
-    any channel pair has |d f(x)[:, u] / d x[:, theta]| > threshold."""
+    any channel pair has |d f(x)[:, u] / d x[:, theta]| > threshold, for a
+    stack function f as in jacobian_fd."""
     if threshold <= 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
     c = x.shape[0]

@@ -12,7 +12,8 @@ import numpy as np
 from . import gradcheck
 from .cca2d import (
     CCAttentionParams,
-    _rcca_forward,
+    _recurrence,
+    _stacked_weights,
     build_gather_table_2d,
     cca_forward,
     index_map_layout,
@@ -121,10 +122,10 @@ def suite_propagation(seed: int = 0, h: int = 3, w: int = 4) -> SuiteResult:
     # complex step does not have). Scale 0.3 does not saturate.
     p = CCAttentionParams.random(c, 2, rng, scale=0.3)
     x = rng.normal(0.0, 1.0, (c, h, w))
-    # the scan's complex-step forwards are the oracle's own work, so they take
-    # the private name: a traced forward prices real float32/float64 calls only
-    pat1 = influence_scan(lambda y: _rcca_forward(y, p, 1)[0], x)
-    pat2 = influence_scan(lambda y: _rcca_forward(y, p, 2)[0], x)
+    # one complex call per scan, on the private stack path that no traced forward prices
+    w_qkv = _stacked_weights(p, np.complex128)
+    pat1 = influence_scan(lambda ys: _recurrence(ys, w_qkv, p.reduced_channels, 1, 2)[0], x)
+    pat2 = influence_scan(lambda ys: _recurrence(ys, w_qkv, p.reduced_channels, 2, 2)[0], x)
     mask = crisscross_mask(h, w)
     ok = bool(np.array_equal(pat1.mask, mask)) and bool(pat2.mask.all())
     return SuiteResult(

@@ -52,12 +52,12 @@ class ProjectionWeights:
         return self.weight.shape[1]
 
 
-def softmax_axis(x: np.ndarray, axis: int) -> np.ndarray:
-    """Exp-normalize along ``axis`` with max-subtraction stabilization."""
+def softmax_axis(x: np.ndarray, axis: int, out=None) -> np.ndarray:
+    """Exp-normalize along ``axis`` with max-subtraction stabilization; ``out`` as in NumPy."""
     x = np.asarray(x)
     if not -x.ndim <= axis < x.ndim:
         raise IndexError(f"softmax axis {axis} out of range for rank-{x.ndim} tensor")
-    e = np.subtract(x, x.max(axis=axis, keepdims=True), dtype=np.result_type(x, 1.0))
+    e = np.subtract(x, x.max(axis=axis, keepdims=True), out=out, dtype=np.result_type(x, 1.0))
     np.exp(e, out=e)
     e /= e.sum(axis=axis, keepdims=True)
     return e

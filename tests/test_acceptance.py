@@ -29,6 +29,12 @@ from crisscross.toytrain import gen_toy, train_toy
 PAPER = dict(h=97, w=97, c=512, c_reduced=64)
 
 
+def per_input(g):
+    """A per-input function as the (B, *x.shape) stack function that
+    jacobian_fd and influence_scan call once."""
+    return lambda ys: np.stack([g(y) for y in ys])
+
+
 def report(num, name, ok, detail=""):
     print(f"[criterion {num}] {'PASS' if ok else 'FAIL'} {name}"
           + (f": {detail}" if detail else ""))
@@ -113,8 +119,8 @@ class TestAcceptance:
             rng = np.random.default_rng(seed)
             p = CCAttentionParams.random(3, 2, rng)
             x = rng.normal(size=(3, h, w))
-            pat1 = influence_scan(lambda y: rcca_forward(y, p, 1)[0], x)
-            pat2 = influence_scan(lambda y: rcca_forward(y, p, 2)[0], x)
+            pat1 = influence_scan(per_input(lambda y: rcca_forward(y, p, 1)[0]), x)
+            pat2 = influence_scan(per_input(lambda y: rcca_forward(y, p, 2)[0]), x)
             ok = ok and np.array_equal(pat1.mask, mask) and pat2.mask.all()
         elapsed = time.monotonic() - start
         report(5, "propagation at desk scale", ok and elapsed < 60.0,

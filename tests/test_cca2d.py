@@ -4,7 +4,7 @@ import pytest
 from crisscross.cca2d import (
     CCAttentionParams,
     CacheMismatchError,
-    _duplicate_mask,
+    _duplicates,
     _line_apply,
     _line_scores,
     cca_forward,
@@ -58,7 +58,8 @@ def affinity(q, k):
 def zero_duplicates(a):
     """Line-layout weights (H, W, H+W) with the duplicate self entry zeroed,
     as the engine caches them."""
-    a[np.isinf(_duplicate_mask(a.shape[:-1]))] = 0.0
+    for diagonal in _duplicates(a, 2):
+        diagonal[...] = 0.0
     return a
 
 

@@ -10,6 +10,12 @@ from crisscross.cca3d import (
 from crisscross.oracles import cca3d_naive, influence_scan
 
 
+def per_input(g):
+    """A per-input function as the (B, *x.shape) stack function that
+    jacobian_fd and influence_scan call once."""
+    return lambda ys: np.stack([g(y) for y in ys])
+
+
 def random_params(c, cr, seed=0):
     return CCAttentionParams.random(c, cr, np.random.default_rng(seed))
 
@@ -91,7 +97,7 @@ class TestRecurrent3D:
     def test_r3_full_reachability(self, seed):
         p = random_params(2, 1, seed=seed)
         x = np.random.default_rng(seed).normal(size=(2, 3, 3, 3))
-        pat = influence_scan(lambda y: rcca3d_forward(y, p, 3)[0], x)
+        pat = influence_scan(per_input(lambda y: rcca3d_forward(y, p, 3)[0]), x)
         assert pat.mask.all()
 
     def test_r2_reaches_two_coordinate_changes(self):
@@ -99,7 +105,7 @@ class TestRecurrent3D:
         # at most two coordinates is reachable with two loops
         p = random_params(2, 1, seed=9)
         x = np.random.default_rng(9).normal(size=(2, 2, 2, 2))
-        pat = influence_scan(lambda y: rcca3d_forward(y, p, 2)[0], x)
+        pat = influence_scan(per_input(lambda y: rcca3d_forward(y, p, 2)[0]), x)
         dims = (2, 2, 2)
         for ui, u in enumerate(np.ndindex(*dims)):
             for ti, th in enumerate(np.ndindex(*dims)):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from crisscross.cca2d import (
     CCAttentionParams,
-    _duplicate_mask,
+    _duplicates,
     _recurrence,
     _recurrence_backward,
     _stacked_weights,
@@ -65,6 +65,14 @@ def neighbour_indices(spatial):
     return np.stack(blocks, axis=-1)
 
 
+def duplicate_entries(spatial):
+    """Line-layout (*S, sum(S)) bool array, True where a block after the
+    first walks back onto u itself."""
+    nbr = neighbour_indices(spatial)
+    own = np.arange(nbr[..., 0].size).reshape(spatial + (1,))
+    return (nbr == own) & (np.repeat(np.arange(len(spatial)), spatial) > 0)
+
+
 class TestGatherTables:
     def test_2d_table_matches_index_map(self):
         for h in range(1, 5):
@@ -84,7 +92,7 @@ class TestGatherTables:
 class TestLayouts:
     def test_round_trip_and_zero_duplicates(self):
         """index_map_layout puts line-layout entries in index-map order and
-        drops exactly the duplicate self entries, which the mask sets to -inf."""
+        drops exactly the duplicate self entries, which the engine sets to -inf."""
         for spatial in ((3, 4), (1, 5), (4, 1), (2, 3, 2), (1, 1, 3)):
             index_map = crisscross_index_map if len(spatial) == 2 else crisscross_index_map_3d
             size = sum(spatial) - len(spatial) + 1
@@ -92,24 +100,26 @@ class TestLayouts:
             expect = [[np.ravel_multi_index(index_map(u, i, *spatial), spatial)
                        for u in np.ndindex(*spatial)] for i in range(size)]
             assert np.array_equal(index_map_layout(nbr).reshape(size, -1), expect)
-            own = np.arange(nbr[..., 0].size).reshape(spatial + (1,))
-            later_block = np.repeat(np.arange(len(spatial)), spatial) > 0
-            assert np.array_equal(np.isinf(_duplicate_mask(spatial)),
-                                  (nbr == own) & later_block)
+            marked = np.zeros(nbr.shape, dtype=bool)
+            for diagonal in _duplicates(marked, len(spatial)):
+                diagonal[...] = True
+            assert np.array_equal(marked, duplicate_entries(spatial))
 
     def test_mask_is_built_in_the_real_dtype_of_the_scores(self):
+        """The -inf entries are written into the scores in place, so the
+        cached attention keeps the input dtype and is exactly 0 there."""
         for dtype in (np.float32, np.float64, np.complex128):
             x = np.ones((3, 2, 4), dtype=dtype)
             p = CCAttentionParams.random(3, 1, np.random.default_rng(0))
             _, cache = rcca_forward(x, p, 1)
-            assert cache.records[0].attn.dtype == dtype
-            assert _duplicate_mask((2, 4), x.real.dtype).dtype == x.real.dtype
-        assert _duplicate_mask((2, 4)).dtype == np.float64
+            attn = cache.records[0].attn
+            assert attn.dtype == dtype
+            assert all(d.dtype == dtype and not d.any() for d in _duplicates(attn, 2))
 
     def test_cached_attention_is_zero_on_duplicates(self):
         for shape in ((4, 3, 5), (3, 2, 3, 2)):
             _, cache, _ = forward_and_oracle(shape, seed=1)
-            duplicates = np.isinf(_duplicate_mask(shape[1:]))
+            duplicates = duplicate_entries(shape[1:])
             assert np.count_nonzero(duplicates) == (len(shape) - 2) * np.prod(shape[1:])
             assert not cache.records[0].attn[duplicates].any()
 
@@ -151,7 +161,7 @@ class TestChannelsLast:
         x = rng.normal(size=shape)
         c, n = shape[0], int(np.prod(shape[1:]))
         ledger = 2 * ((2 * reduced + c) * n + n * sum(shape[1:]) + c * n) * x.itemsize
-        out, cache = rcca_forward(x, p, 2)  # warm-up: fills the mask cache
+        out, cache = rcca_forward(x, p, 2)  # warm-up: fills the axis-plan cache
         rcca_backward(cache, out)
         del out, cache
         tracemalloc.start()
@@ -196,6 +206,22 @@ class TestDegenerateGrids:
         out, cache, ref = forward_and_oracle(shape, seed=sum(shape))
         assert rel_diff(out, ref) < 1e-9
         assert_rows_normalized(cache.records[0].attn)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.complex128])
+    @pytest.mark.parametrize("shape", [(4, 1, 1), (4, 1, 6), (4, 5, 1), (3, 1, 3, 4)])
+    def test_duplicates_are_exactly_zero_in_every_dtype(self, shape, dtype):
+        """1x1, 1xW, Hx1 and T=1: the cached attention is 0 at every
+        duplicate and the forward matches the oracle, to 1e-9 in float64
+        and complex128 and to F32_RTOL in float32."""
+        rng = np.random.default_rng(sum(shape))
+        p = CCAttentionParams.random(shape[0], shape[0] - 1, rng)
+        x = rng.normal(size=shape)
+        out, cache = rcca_forward(x.astype(dtype), p, 1)
+        attn = cache.records[0].attn
+        assert attn.dtype == out.dtype == dtype
+        assert not attn[duplicate_entries(shape[1:])].any()
+        tol = F32_RTOL if dtype == np.float32 else 1e-9
+        assert rel_diff(out, naive_for(shape)(x, p)) < tol
 
     @pytest.mark.parametrize("shape", [(1, 5), (4, 1)])
     def test_gradcheck_on_single_line(self, shape):

@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
-from crisscross.cca2d import CCAttentionParams, cca_forward, rcca_forward
+from crisscross.cca2d import (
+    CCAttentionParams,
+    _recurrence,
+    _stacked_weights,
+    cca_forward,
+    rcca_forward,
+)
 from crisscross.oracles import (
     OpCounter,
+    _complex_step,
     cca_naive,
     crisscross_mask,
     influence_scan,
@@ -11,6 +18,12 @@ from crisscross.oracles import (
     nonlocal_forward,
 )
 from crisscross.tensor_core import ProjectionWeights
+
+
+def per_input(g):
+    """A per-input function as the (B, *x.shape) stack function that
+    jacobian_fd and influence_scan call once."""
+    return lambda ys: np.stack([g(y) for y in ys])
 
 
 def random_params(c, cr, seed=0):
@@ -101,7 +114,7 @@ class TestJacobianFD:
         from crisscross.cca2d import rcca_backward
         p = random_params(3, 1, seed=10)
         x = np.random.default_rng(10).normal(size=(3, 2, 3))
-        fd = jacobian_fd(lambda y: cca_forward(y, p)[0], x)
+        fd = jacobian_fd(per_input(lambda y: cca_forward(y, p)[0]), x)
         analytic = np.zeros_like(fd)
         _, cache = cca_forward(x, p)
         for row in range(fd.shape[0]):
@@ -117,6 +130,46 @@ class TestJacobianFD:
             jacobian_fd(lambda y: y, np.ones(2), step=0.0)
 
 
+class TestStackContract:
+    """f takes one (B, *x.shape) stack and returns (B, *out)."""
+
+    def test_each_scan_calls_f_once(self):
+        x = np.random.default_rng(15).normal(size=(2, 2, 3))
+        calls = []
+
+        def f(ys):
+            calls.append(ys.shape)
+            return ys
+
+        jacobian_fd(f, x)
+        influence_scan(f, x)
+        assert calls == [(12, 2, 2, 3)] * 2
+
+    def test_f_without_the_batch_axis_is_rejected(self):
+        a, b = np.ones((2, 3)), np.ones(4)
+        for f in (lambda ys: ys.sum(), lambda ys: ys[0], lambda ys: ys.sum(axis=0)):
+            with pytest.raises(ValueError, match=r"\(B, \.\.\.\) stack, B = 6"):
+                jacobian_fd(f, a)
+        with pytest.raises(ValueError, match=r"B = 10; got \(6,\)"):
+            _complex_step(lambda xs, ys: xs.sum(axis=2)[:6, 0], a, b)
+        d_a, d_b = _complex_step(lambda xs, ys: xs.sum(axis=(1, 2)) + 2 * ys.sum(axis=1), a, b)
+        assert np.allclose(d_a, 1.0) and np.allclose(d_b, 2.0)
+
+    @pytest.mark.parametrize("loops", [1, 2, 3])
+    @pytest.mark.parametrize("spatial", [(3, 4), (1, 1), (1, 4), (3, 1), (2, 2, 3), (1, 2, 3)])
+    def test_stack_path_masks_equal_per_input_masks(self, spatial, loops):
+        p = random_params(3, 1, seed=16)
+        x = np.random.default_rng(16).normal(size=(3,) + spatial)
+
+        def stack(ys):
+            return _recurrence(ys, _stacked_weights(p, ys.dtype), p.reduced_channels,
+                               loops, ys.ndim - 2)[0]
+
+        fast = influence_scan(stack, x)
+        slow = influence_scan(per_input(lambda y: rcca_forward(y, p, loops)[0]), x)
+        assert np.array_equal(fast.mask, slow.mask)
+
+
 class TestInfluenceScan:
     def test_identity_is_diagonal(self):
         x = np.random.default_rng(11).normal(size=(2, 2, 3))
@@ -126,21 +179,21 @@ class TestInfluenceScan:
     def test_r1_equals_crisscross_mask(self):
         p = random_params(3, 1, seed=12)
         x = np.random.default_rng(12).normal(size=(3, 4, 4))
-        pat = influence_scan(lambda y: rcca_forward(y, p, 1)[0], x)
+        pat = influence_scan(per_input(lambda y: rcca_forward(y, p, 1)[0]), x)
         assert np.array_equal(pat.mask, crisscross_mask(4, 4))
 
     def test_r2_fully_dense_and_monotone(self):
         p = random_params(3, 1, seed=13)
         x = np.random.default_rng(13).normal(size=(3, 3, 3))
-        pat1 = influence_scan(lambda y: rcca_forward(y, p, 1)[0], x)
-        pat2 = influence_scan(lambda y: rcca_forward(y, p, 2)[0], x)
+        pat1 = influence_scan(per_input(lambda y: rcca_forward(y, p, 1)[0]), x)
+        pat2 = influence_scan(per_input(lambda y: rcca_forward(y, p, 2)[0]), x)
         assert pat2.mask.all()
         assert pat1 <= pat2
 
     def test_diagonal_always_true(self):
         p = random_params(3, 1, seed=14)
         x = np.random.default_rng(14).normal(size=(3, 2, 4))
-        pat = influence_scan(lambda y: rcca_forward(y, p, 1)[0], x)
+        pat = influence_scan(per_input(lambda y: rcca_forward(y, p, 1)[0]), x)
         assert pat.mask.diagonal().all()  # residual path
 
 

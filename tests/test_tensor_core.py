@@ -26,6 +26,17 @@ class TestSoftmaxAxis:
         with pytest.raises(IndexError):
             softmax_axis(np.ones((2, 2)), axis=2)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.complex128])
+    def test_out_follows_numpy_convention(self, dtype):
+        x = np.random.default_rng(2).normal(size=(3, 4)).astype(dtype)
+        x0, fresh = x.copy(), softmax_axis(x, axis=-1)
+        assert fresh is not x and np.array_equal(x, x0)
+        out = np.empty_like(x)
+        assert softmax_axis(x, axis=-1, out=out) is out
+        assert np.array_equal(out, fresh) and np.array_equal(x, x0)
+        assert softmax_axis(x, axis=-1, out=x) is x  # in place, as the engine runs it
+        assert np.array_equal(x, fresh)
+
     @given(x=arrays(np.float64, (4, 3),
                     elements=st.floats(-50, 50)),
            c=st.floats(-100, 100))
