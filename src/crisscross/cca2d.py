@@ -9,8 +9,9 @@ Attention arrays use this *line layout*, (*S, sum(S)): block m holds the
 weights over the line along spatial axis m, zero at the duplicates.
 Aggregation and backward are batched products over the same lines, on
 channels-last (*S, C) maps whose lines along every axis are BLAS-ready
-views; public arrays stay (C, *S). The index maps and gather tables (the
-*index-map layout*) are the definitional enumeration, for verification only.
+views; public arrays stay (C, *S). crisscross_index_map and crisscross_set
+(the *index-map layout*) state the set once for every rank: the definitional
+enumeration that the oracles read, for verification only.
 """
 
 from __future__ import annotations
@@ -101,22 +102,46 @@ class ForwardCache:
         return len(self.records)
 
 
-def crisscross_index_map(u: tuple, i: int, h: int, w: int) -> tuple:
-    """i-th element of the criss-cross set of position u = (row, col).
+def _position(u, extents: tuple) -> tuple:
+    """u as a tuple, or IndexError if it is not a position of the grid ``extents``."""
+    u = tuple(u)
+    if len(u) == len(extents):
+        for a, s in zip(u, extents):
+            if not 0 <= a < s:
+                break
+        else:
+            return u
+    raise IndexError(f"position {u} outside {'x'.join(map(str, extents))} grid")
 
-    Indices 0..H-1 walk u's column top to bottom (u itself at i = row);
-    indices H..H+W-2 walk u's row left to right, skipping column u.col.
-    """
-    row, col = u
-    if not (0 <= row < h and 0 <= col < w):
-        raise IndexError(f"position {u} outside {h}x{w} grid")
-    if not 0 <= i < h + w - 1:
-        raise IndexError(f"criss-cross index {i} out of range [0, {h + w - 1})")
-    if i < h:
-        return (i, col)
-    j = i - h
-    cols = [c for c in range(w) if c != col]
-    return (row, cols[j])
+
+def _member(u: tuple, i: int, extents: tuple) -> tuple:
+    """crisscross_index_map for an in-grid tuple u: an O(rank) walk, no list."""
+    if 0 <= i < extents[0]:
+        return (i,) + u[1:]
+    j = i - extents[0]
+    for m in range(1, len(extents)):
+        s = extents[m] - 1  # u itself is on axis 0's line
+        if 0 <= j < s:
+            if j >= u[m]:
+                j += 1
+            return u[:m] + (j,) + u[m + 1:]
+        j -= s
+    raise IndexError(f"criss-cross index {i} out of range [0, {sum(extents) - len(extents) + 1})")
+
+
+def crisscross_index_map(u: tuple, i: int, *extents: int) -> tuple:
+    """i-th member of the criss-cross set of u in a grid of any rank: u's line
+    along the first axis (u itself at i = u[0]), then its line along each later
+    axis without u, each in increasing coordinate order. In 2D that is u's
+    column, then its row; in 3D the temporal line, the column, then the row."""
+    return _member(_position(u, extents), i, extents)
+
+
+def crisscross_set(u: tuple, extents: tuple) -> list:
+    """The criss-cross set of u in crisscross_index_map order: sum(S)-rank+1
+    positions, H+W-1 in 2D and T+H+W-2 in 3D."""
+    u = _position(u, extents)
+    return [_member(u, i, extents) for i in range(sum(extents) - len(extents) + 1)]
 
 
 def _gather_table(spatial: tuple) -> np.ndarray:
@@ -259,7 +284,7 @@ def _stacked_weights(p: CCAttentionParams, dtype) -> np.ndarray:
 
 def index_map_layout(a: np.ndarray) -> np.ndarray:
     """(L, *S) copy of a line-layout array (*S, sum(S)), without the
-    duplicates and in crisscross_index_map / crisscross_index_map_3d order."""
+    duplicates and in crisscross_index_map order."""
     spatial = a.shape[:-1]
     size = sum(spatial) - len(spatial) + 1
     keep = np.ones(a.shape, dtype=bool)

@@ -14,12 +14,12 @@ import sys
 
 import numpy as np
 
-from .cca2d import CCAttentionParams, _recurrence, _stacked_weights, attention_mass, rcca_forward
+from .cca2d import CCAttentionParams, attention_mass, rcca_forward
 from .costmodel import WorkloadSpec, flops_cc2d, flops_cc3d, flops_nonlocal, render_report
 from .gradcheck import DEFAULT_TOL, default_suite
 from .losses import CCLConfig
-from .oracles import crisscross_mask, influence_scan
-from .selftest import run_selftest
+from .oracles import crisscross_mask
+from .selftest import influence, run_selftest
 from .tensor_core import TensorFormatError, TensorLengthError, load_tensor
 from .toytrain import EpochMetrics, gen_toy, train_toy
 
@@ -118,9 +118,7 @@ def cmd_reach(args) -> int:
     c = 3
     p = CCAttentionParams.random(c, 2, rng)
     x = rng.normal(0.0, 1.0, (c, args.h, args.w))
-    w_qkv = _stacked_weights(p, np.complex128)  # one complex call, on the stack path
-    pattern = influence_scan(
-        lambda ys: _recurrence(ys, w_qkv, p.reduced_channels, args.loops, 2)[0], x)
+    pattern = influence(p, x, args.loops)
     print(f"grid {args.h}x{args.w}, loops {args.loops}: "
           f"influence density {pattern.density:.4f}")
     if args.loops == 1:

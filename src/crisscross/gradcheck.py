@@ -26,7 +26,6 @@ class CheckResult:
     name: str
     max_rel_err: float
     worst_coordinate: str
-    cases: int
 
     def passed(self, tol: float = DEFAULT_TOL) -> bool:
         return self.max_rel_err < tol
@@ -71,7 +70,7 @@ def check_attention(seed: int, shape: tuple, channels: int, reduced: int,
                             (d_x, gw.d_wq, gw.d_wk, gw.d_wv), cs))
     dims = "x".join(map(str, shape))
     kind = "rcca2d" if len(shape) == 2 else "rcca3d"
-    return CheckResult(f"{kind}[{dims},R={loops},seed={seed}]", err, coord, 1)
+    return CheckResult(f"{kind}[{dims},R={loops},seed={seed}]", err, coord)
 
 
 def _safe_ccl_instance(seed: int, cr: int, h: int, w: int, cfg: CCLConfig,
@@ -99,7 +98,7 @@ def check_ccl(seed: int, cr: int = 4, h: int = 5, w: int = 6,
     _bd, grad = ccl_loss(features, labels, cfg, want_grad=True)
     cs = _complex_step(lambda fs: ccl_loss(fs, labels, cfg).weighted(cfg), features)
     err, coord = _worst([("features", grad, cs[0])])
-    return CheckResult(f"ccl[{cr}x{h}x{w},seed={seed}]", err, coord, 1)
+    return CheckResult(f"ccl[{cr}x{h}x{w},seed={seed}]", err, coord)
 
 
 def check_cross_entropy(seed: int, k: int = 4, h: int = 5, w: int = 5) -> CheckResult:
@@ -110,7 +109,7 @@ def check_cross_entropy(seed: int, k: int = 4, h: int = 5, w: int = 5) -> CheckR
     _loss, grad = cross_entropy_seg(logits, labels)
     cs = _complex_step(lambda ls: cross_entropy_seg(ls, labels)[0], logits)
     err, coord = _worst([("logits", grad, cs[0])])
-    return CheckResult(f"cross_entropy[{k}x{h}x{w},seed={seed}]", err, coord, 1)
+    return CheckResult(f"cross_entropy[{k}x{h}x{w},seed={seed}]", err, coord)
 
 
 def default_suite(seeds: int = 3) -> list:

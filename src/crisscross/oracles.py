@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cca2d import CCAttentionParams, crisscross_index_map
-from .cca3d import crisscross_index_map_3d
+from .cca2d import CCAttentionParams, crisscross_set
 from .tensor_core import DimensionError
 
 
@@ -59,19 +58,18 @@ def _softmax_naive(col, counter: OpCounter | None):
     return out
 
 
-def _crisscross_naive(h: np.ndarray, p: CCAttentionParams, index_map,
-                      counter: OpCounter | None) -> np.ndarray:
-    """Scalar-loop criss-cross attention, definitionally following the
-    affinity/softmax/aggregation pipeline position by position over the set
-    that ``index_map(u, i, *extents)`` enumerates."""
-    c, *extents = h.shape
+def cca_naive(h: np.ndarray, p: CCAttentionParams,
+              counter: OpCounter | None = None) -> np.ndarray:
+    """Scalar-loop criss-cross attention on a (C, H, W) map or a (C, T, H, W)
+    volume, definitionally following the affinity/softmax/aggregation
+    pipeline position by position over the set that crisscross_set lists."""
+    c, extents = h.shape[0], h.shape[1:]
     q = _project_naive(h, p.wq.weight, counter, "projections")
     k = _project_naive(h, p.wk.weight, counter, "projections")
     v = _project_naive(h, p.wv.weight, counter, "projections")
-    size = sum(extents) - len(extents) + 1
     out = np.zeros_like(h)
     for u in np.ndindex(*extents):
-        nbrs = [index_map(u, i, *extents) for i in range(size)]
+        nbrs = crisscross_set(u, extents)
         scores = []
         for nb in nbrs:
             acc = 0.0
@@ -85,20 +83,12 @@ def _crisscross_naive(h: np.ndarray, p: CCAttentionParams, index_map,
                 acc += a * v[(ch,) + nb]
             out[(ch,) + u] = acc + h[(ch,) + u]
         if counter is not None:
-            counter.affinity += 2 * q.shape[0] * size
-            counter.aggregation += c * (2 * size + 1)  # residual add included
+            counter.affinity += 2 * q.shape[0] * len(nbrs)
+            counter.aggregation += c * (2 * len(nbrs) + 1)  # residual add included
     return out
 
 
-def cca_naive(h: np.ndarray, p: CCAttentionParams,
-              counter: OpCounter | None = None) -> np.ndarray:
-    """Scalar-loop 2D criss-cross attention."""
-    return _crisscross_naive(h, p, crisscross_index_map, counter)
-
-
-def cca3d_naive(h: np.ndarray, p: CCAttentionParams) -> np.ndarray:
-    """Scalar-loop 3D criss-cross attention."""
-    return _crisscross_naive(h, p, crisscross_index_map_3d, None)
+cca3d_naive = cca_naive
 
 
 def nonlocal_forward(h: np.ndarray, p: CCAttentionParams) -> np.ndarray:
@@ -168,9 +158,6 @@ class InfluencePattern:
     def density(self) -> float:
         return float(self.mask.mean())
 
-    def __le__(self, other: "InfluencePattern") -> bool:
-        return bool(np.all(~self.mask | other.mask))
-
 
 def influence_scan(f, x: np.ndarray, threshold: float = 1e-12,
                    step: float = _STEP) -> InfluencePattern:
@@ -187,14 +174,11 @@ def influence_scan(f, x: np.ndarray, threshold: float = 1e-12,
     return InfluencePattern(mask=sens > threshold)
 
 
-def crisscross_mask(h: int, w: int) -> np.ndarray:
-    """Combinatorial (N, N) boolean mask: True iff positions share a row or column."""
-    n = h * w
-    mask = np.zeros((n, n), dtype=bool)
-    for r in range(h):
-        for c in range(w):
-            u = r * w + c
-            for i in range(h + w - 1):
-                rr, cc = crisscross_index_map((r, c), i, h, w)
-                mask[u, rr * w + cc] = True
-    return mask
+def crisscross_mask(*extents: int) -> np.ndarray:
+    """Combinatorial (N, N) boolean mask over a grid's flat positions: True
+    iff the second lies in the criss-cross set of the first."""
+    mask = np.zeros((math.prod(extents),) + extents, dtype=bool)
+    for row, u in zip(mask, np.ndindex(*extents)):
+        for v in crisscross_set(u, extents):
+            row[v] = True
+    return mask.reshape(len(mask), -1)

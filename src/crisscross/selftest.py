@@ -112,6 +112,14 @@ def suite_gradients(seeds: int = 1, tol: float = gradcheck.DEFAULT_TOL) -> Suite
     return SuiteResult("gradients", not bad, detail)
 
 
+def influence(p: CCAttentionParams, x: np.ndarray, loops: int):
+    """Complex-step influence pattern of ``loops`` passes on a (C, *S) input:
+    one complex call, on the private stack path that no traced forward prices."""
+    w_qkv = _stacked_weights(p, np.complex128)
+    return influence_scan(
+        lambda ys: _recurrence(ys, w_qkv, p.reduced_channels, loops, x.ndim - 1)[0], x)
+
+
 def suite_propagation(seed: int = 0, h: int = 3, w: int = 4) -> SuiteResult:
     """R=1 influence equals the criss-cross mask exactly; R=2 is all-dense."""
     rng = np.random.default_rng(seed)
@@ -122,10 +130,7 @@ def suite_propagation(seed: int = 0, h: int = 3, w: int = 4) -> SuiteResult:
     # complex step does not have). Scale 0.3 does not saturate.
     p = CCAttentionParams.random(c, 2, rng, scale=0.3)
     x = rng.normal(0.0, 1.0, (c, h, w))
-    # one complex call per scan, on the private stack path that no traced forward prices
-    w_qkv = _stacked_weights(p, np.complex128)
-    pat1 = influence_scan(lambda ys: _recurrence(ys, w_qkv, p.reduced_channels, 1, 2)[0], x)
-    pat2 = influence_scan(lambda ys: _recurrence(ys, w_qkv, p.reduced_channels, 2, 2)[0], x)
+    pat1, pat2 = influence(p, x, 1), influence(p, x, 2)
     mask = crisscross_mask(h, w)
     ok = bool(np.array_equal(pat1.mask, mask)) and bool(pat2.mask.all())
     return SuiteResult(

@@ -7,6 +7,7 @@ loading tensors at that width. All operations are pure.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -105,7 +106,7 @@ def load_tensor(path) -> np.ndarray:
     shape = struct.unpack(f"<{rank}I", raw[6:header_end])
     if any(e < 1 for e in shape):
         raise TensorFormatError(f"zero extent in shape {shape}", offset=6)
-    count = int(np.prod(shape))
+    count = math.prod(shape)  # Python ints: np.prod wraps at 2**63
     payload = raw[header_end:]
     if len(payload) != count * width:
         raise TensorLengthError(

@@ -9,6 +9,7 @@ from crisscross.cca2d import (
     _line_scores,
     cca_forward,
     crisscross_index_map,
+    crisscross_set,
     index_map_layout,
     rcca_backward,
     rcca_forward,
@@ -47,6 +48,26 @@ class TestIndexMap:
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
             crisscross_index_map((0, 0), 5, 3, 3)
+
+    def test_set_lists_the_index_map_in_order(self):
+        for grid in list(np.ndindex(4, 4)) + list(np.ndindex(3, 3, 3)):
+            extents = tuple(e + 1 for e in grid)
+            size = sum(extents) - len(extents) + 1
+            for u in np.ndindex(*extents):
+                assert crisscross_set(u, extents) == [
+                    crisscross_index_map(u, i, *extents) for i in range(size)]
+
+    def test_3d_order_of_one_position(self):
+        """The temporal line, then the column without u, then the row without u."""
+        assert crisscross_set((1, 1, 2), (2, 3, 4)) == [
+            (0, 1, 2), (1, 1, 2), (1, 0, 2), (1, 2, 2), (1, 1, 0), (1, 1, 1), (1, 1, 3)]
+
+    @pytest.mark.parametrize("u", [(3, 0), (0, -1), (0, 0, 0), (0,)])
+    def test_position_outside_the_grid(self, u):
+        with pytest.raises(IndexError, match="outside 3x3 grid"):
+            crisscross_index_map(u, 0, 3, 3)
+        with pytest.raises(IndexError, match="outside 3x3 grid"):
+            crisscross_set(u, (3, 3))
 
 
 def affinity(q, k):

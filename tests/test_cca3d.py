@@ -7,7 +7,7 @@ from crisscross.cca3d import (
     crisscross_index_map_3d,
     rcca3d_forward,
 )
-from crisscross.oracles import cca3d_naive, influence_scan
+from crisscross.oracles import cca3d_naive, crisscross_mask, influence_scan
 
 
 def per_input(g):
@@ -99,6 +99,12 @@ class TestRecurrent3D:
         x = np.random.default_rng(seed).normal(size=(2, 3, 3, 3))
         pat = influence_scan(per_input(lambda y: rcca3d_forward(y, p, 3)[0]), x)
         assert pat.mask.all()
+
+    def test_r1_equals_crisscross_mask(self):
+        p = random_params(2, 1, seed=8)
+        x = np.random.default_rng(8).normal(size=(2, 2, 3, 2))
+        pat = influence_scan(per_input(lambda y: rcca3d_forward(y, p, 1)[0]), x)
+        assert np.array_equal(pat.mask, crisscross_mask(2, 3, 2))
 
     def test_r2_reaches_two_coordinate_changes(self):
         # one hop fixes at least one coordinate: anything differing from u in

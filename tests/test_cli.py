@@ -233,6 +233,15 @@ class TestAttnDump:
                          "--u", "0,0", "--out", str(tmp_path / "x"))
         assert code == 2
 
+    def test_declared_count_beyond_int64_exits_2(self, capsys, tmp_path):
+        huge = tmp_path / "huge.cct"
+        extents = b"".join(e.to_bytes(4, "little") for e in (2**31, 2**31, 4))
+        huge.write_bytes(b"CCT1" + bytes([8, 3]) + extents)
+        code, _, err = run(capsys, "attn-dump", "--input", str(huge),
+                           "--u", "0,0", "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert f"header declares {2**64}" in err
+
 
 class TestTrainToy:
     def test_zero_epochs_single_row(self, capsys, tmp_path):

@@ -23,7 +23,7 @@ from crisscross.cca2d import (
 )
 from crisscross.cca3d import build_gather_table_3d, crisscross_index_map_3d
 from crisscross.gradcheck import check_attention
-from crisscross.oracles import cca3d_naive, cca_naive
+from crisscross.oracles import cca_naive
 from crisscross.tensor_core import DimensionError
 
 F32_RTOL = 1e-4  # float32 engine against the float64 oracle, relative to max |ref|
@@ -33,17 +33,13 @@ def rel_diff(a, b):
     return float(np.abs(a - b).max()) / max(1e-30, float(np.abs(b).max()))
 
 
-def naive_for(shape):
-    return cca_naive if len(shape) == 3 else cca3d_naive
-
-
 def forward_and_oracle(shape, seed, reduced=None):
     rng = np.random.default_rng(seed)
     c = shape[0]
     p = CCAttentionParams.random(c, reduced or c - 1, rng)
     x = rng.normal(size=shape)
     out, cache = rcca_forward(x, p, 1)
-    return out, cache, naive_for(shape)(x, p)
+    return out, cache, cca_naive(x, p)
 
 
 def assert_rows_normalized(attn, tol=1e-9):
@@ -94,10 +90,9 @@ class TestLayouts:
         """index_map_layout puts line-layout entries in index-map order and
         drops exactly the duplicate self entries, which the engine sets to -inf."""
         for spatial in ((3, 4), (1, 5), (4, 1), (2, 3, 2), (1, 1, 3)):
-            index_map = crisscross_index_map if len(spatial) == 2 else crisscross_index_map_3d
             size = sum(spatial) - len(spatial) + 1
             nbr = neighbour_indices(spatial)
-            expect = [[np.ravel_multi_index(index_map(u, i, *spatial), spatial)
+            expect = [[np.ravel_multi_index(crisscross_index_map(u, i, *spatial), spatial)
                        for u in np.ndindex(*spatial)] for i in range(size)]
             assert np.array_equal(index_map_layout(nbr).reshape(size, -1), expect)
             marked = np.zeros(nbr.shape, dtype=bool)
@@ -187,8 +182,7 @@ class TestRank:
         p = CCAttentionParams.random(shape[0], 2, rng)
         x = rng.normal(size=shape)
         out, cache = rcca_forward(x, p, 2)
-        naive = naive_for(shape)
-        assert rel_diff(out, naive(naive(x, p), p)) < 1e-9
+        assert rel_diff(out, cca_naive(cca_naive(x, p), p)) < 1e-9
         d_x, grads = rcca_backward(cache, out)
         assert d_x.shape == shape and grads.d_wv.shape == (shape[0],) * 2
 
@@ -221,7 +215,7 @@ class TestDegenerateGrids:
         assert attn.dtype == out.dtype == dtype
         assert not attn[duplicate_entries(shape[1:])].any()
         tol = F32_RTOL if dtype == np.float32 else 1e-9
-        assert rel_diff(out, naive_for(shape)(x, p)) < tol
+        assert rel_diff(out, cca_naive(x, p)) < tol
 
     @pytest.mark.parametrize("shape", [(1, 5), (4, 1)])
     def test_gradcheck_on_single_line(self, shape):
@@ -277,8 +271,7 @@ class TestFloat32:
         assert out32.dtype == np.float32
         assert all(a.dtype == np.float32 for rec in cache32.records
                    for a in (rec.x, rec.q, rec.k, rec.v, rec.attn))
-        naive = naive_for(shape)
-        twice = naive(naive(x, p), p)
+        twice = cca_naive(cca_naive(x, p), p)
         assert rel_diff(out32, twice) < F32_RTOL
 
         d64, g64 = rcca_backward(cache64, d_out)

@@ -79,6 +79,15 @@ class TestTensorFile:
         with pytest.raises(TensorLengthError, match="5.*6|6.*5"):
             load_tensor(path)
 
+    def test_declared_count_beyond_int64_is_a_length_error(self, tmp_path):
+        """2**31 * 2**31 * 4 = 2**64 scalars: a count that wrapped in int64
+        would read 0 and let the empty payload through to the reshape."""
+        path = tmp_path / "huge.cct"
+        extents = b"".join(e.to_bytes(4, "little") for e in (2**31, 2**31, 4))
+        path.write_bytes(b"CCT1" + bytes([8, 3]) + extents)
+        with pytest.raises(TensorLengthError, match=f"declares {2**64}"):
+            load_tensor(path)
+
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "trunc.cct"
         path.write_bytes(b"CCT1" + bytes([8, 3]) + bytes(4))
