@@ -205,7 +205,8 @@ def cmd_train_toy(args) -> int:
         if not result.failed:
             successes += 1
         else:
-            print(f"seed {s}: training failed at epoch {result.fail_epoch}")
+            print(f"seed {s}: training failed at epoch {result.fail_epoch}",
+                  file=sys.stderr)
         for m in result.metrics:
             rows.append(m.csv_row())
     text = "\r\n".join(rows) + "\r\n"
@@ -215,7 +216,7 @@ def cmd_train_toy(args) -> int:
     else:
         print(text, end="")
     if args.repeat > 1:
-        print(f"success rate: {successes}/{len(seeds)}")
+        print(f"success rate: {successes}/{len(seeds)}", file=sys.stderr)
     return 0
 
 

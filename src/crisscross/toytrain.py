@@ -11,10 +11,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cca2d import CCAttentionParams, _recurrence, _recurrence_backward, _stacked_weights
+from .cca2d import _recurrence, _recurrence_backward
 # unused here, but the benchmark's tracer (perfbench/tracing.py) binds these names
 from .cca2d import rcca_backward, rcca_forward  # noqa: F401
-from .losses import CCLConfig, ClassStats, ccl_loss, cross_entropy_seg, total_loss
+from .losses import CCLConfig, ClassStats, ccl_loss, cross_entropy_seg
+from .tensor_core import DimensionError
 
 CLASS_MARGIN = 1.5
 NOISE_SIGMA = 0.3
@@ -25,7 +26,6 @@ class ToyTask:
     images: np.ndarray  # (n, Cin, H, W)
     labels: np.ndarray  # (n, H, W) int
     num_classes: int
-    seed: int
 
 
 @dataclass
@@ -40,12 +40,14 @@ class ToyModel:
     @staticmethod
     def init(seed: int, cin: int, channels: int, reduced_attn: int,
              reduced_loss: int, num_classes: int, loops: int) -> "ToyModel":
+        if not 0 < reduced_attn < channels:
+            raise DimensionError(
+                f"need 0 < reduced_attn < channels, got {reduced_attn}, {channels}")
         rng = np.random.default_rng(seed)
         scale = 0.2
         return ToyModel(
             w_in=rng.normal(0.0, scale, (channels, cin)),
-            w_qkv=_stacked_weights(
-                CCAttentionParams.random(channels, reduced_attn, rng, scale), np.float64),
+            w_qkv=rng.normal(0.0, scale, (2 * reduced_attn + channels, channels)),
             reduced_attn=reduced_attn,
             w_reduce=rng.normal(0.0, scale, (reduced_loss, channels)),
             w_classify=rng.normal(0.0, scale, (num_classes, reduced_loss)),
@@ -109,7 +111,7 @@ def gen_toy(seed: int, n: int, h: int, w: int, k: int) -> ToyTask:
         noise = rng.normal(0.0, NOISE_SIGMA, (cin, h, w))
         images[img] = colors[lab].transpose(2, 0, 1) + noise
         labels[img] = lab
-    return ToyTask(images=images, labels=labels, num_classes=k, seed=seed)
+    return ToyTask(images=images, labels=labels, num_classes=k)
 
 
 def _feature_stats(st: ClassStats) -> tuple:
@@ -144,7 +146,7 @@ def _evaluate_and_grad(model: ToyModel, task: ToyTask, labels: np.ndarray,
     seg, d_z = cross_entropy_seg(z, labels)
     if use_ccl:
         ccl, d_f = ccl_loss(f, labels, cfg, want_grad=True)
-        total = total_loss(seg, ccl, cfg)
+        total = seg + ccl.weighted(cfg)
     else:
         ccl, d_f, total = ccl_loss(f, labels, cfg), np.zeros_like(f), seg
     acc = float((z.argmax(axis=0) == labels).mean())
@@ -167,8 +169,10 @@ def train_toy(task: ToyTask, init_seed: int, epochs: int, use_ccl: bool,
     epoch runs the whole image batch through one attention forward and one
     backward.
 
-    Divergence (non-finite loss) is recorded, not raised: the result carries
-    the failing epoch and the metrics collected so far.
+    Divergence is recorded, not raised: an epoch whose total loss or any
+    gradient is non-finite (epoch 0 included) ends the run with ``failed``
+    set and ``fail_epoch`` naming it, and ``metrics`` holds the rows of the
+    epochs before it, all finite.
     """
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
@@ -177,37 +181,16 @@ def train_toy(task: ToyTask, init_seed: int, epochs: int, use_ccl: bool,
                           cfg.reduced_channels, task.num_classes, loops)
     labels = task.labels.transpose(1, 0, 2).reshape(task.labels.shape[1], -1)
     result = TrainResult()
-    velocity = dict.fromkeys(("w_in", "w_qkv", "w_reduce", "w_classify"), 0.0)
-
-    def evaluate_and_grad():
-        # divergence shows up as inf/nan and is recorded, not raised
-        with np.errstate(all="ignore"):
-            return _evaluate_and_grad(model, task, labels, use_ccl, cfg)
-
-    def record(epoch, vals):
-        result.metrics.append(EpochMetrics(epoch, *vals))
-
-    vals, grads = evaluate_and_grad()
-    record(0, vals)
-    if not math.isfinite(vals[0]):
-        result.failed = True
-        result.fail_epoch = 0
-        return result
-
-    for epoch in range(1, epochs + 1):
-        for name in velocity:
-            velocity[name] = momentum * velocity[name] - lr * grads[name]
+    velocity, grads = {}, {}  # no step before the first evaluation
+    for epoch in range(epochs + 1):
+        for name, grad in grads.items():
+            velocity[name] = momentum * velocity.get(name, 0.0) - lr * grad
             setattr(model, name, getattr(model, name) + velocity[name])
-        try:
-            vals, grads = evaluate_and_grad()
-        except (FloatingPointError, ValueError):
-            result.failed = True
-            result.fail_epoch = epoch
+        # divergence shows up as inf/nan and is caught by the check below
+        with np.errstate(all="ignore"):
+            vals, grads = _evaluate_and_grad(model, task, labels, use_ccl, cfg)
+        if not (math.isfinite(vals[0]) and all(np.isfinite(g).all() for g in grads.values())):
+            result.failed, result.fail_epoch = True, epoch
             return result
-        record(epoch, vals)
-        if not math.isfinite(vals[0]) or not all(
-                np.isfinite(g).all() for g in grads.values()):
-            result.failed = True
-            result.fail_epoch = epoch
-            return result
+        result.metrics.append(EpochMetrics(epoch, *vals))
     return result

@@ -8,6 +8,7 @@ import pytest
 from crisscross.cli import main
 from crisscross.selftest import run_selftest
 from crisscross.tensor_core import save_tensor
+from crisscross.toytrain import EpochMetrics
 
 
 def run(capsys, *argv):
@@ -274,10 +275,21 @@ class TestTrainToy:
         assert "epoch" not in out.out
 
     def test_repeat_reports_success_rate(self, capsys, tmp_path):
-        code, out, _ = run(capsys, "train-toy", "--epochs", "2", "--repeat",
+        code, _, err = run(capsys, "train-toy", "--epochs", "2", "--repeat",
                            "3", "--out", str(tmp_path / "r.csv"))
         assert code == 0
-        assert "success rate: 3/3" in out
+        assert "success rate: 3/3" in err
+
+    def test_failed_run_keeps_stdout_a_csv(self, capsys):
+        # seed 102 diverges under the default piecewise penalty
+        code, out, err = run(capsys, "train-toy", "--seed", "102", "--epochs",
+                             "40", "--repeat", "2")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == EpochMetrics.CSV_HEADER
+        assert all(len(line.split(",")) == 9 for line in lines)
+        assert "seed 102: training failed at epoch" in err
+        assert "success rate: 1/2" in err
 
 
 class TestSelftest:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from crisscross.losses import IGNORE_ID, CCLConfig, class_stats
+from crisscross.tensor_core import DimensionError
 from crisscross.toytrain import (
     CLASS_MARGIN,
     ToyModel,
@@ -106,6 +107,28 @@ class TestTrainToy:
         assert res.failed
         assert 0 < res.fail_epoch <= 60
         assert len(res.metrics) == res.fail_epoch
+
+    @pytest.mark.parametrize("reduced_attn", [0, 8])
+    def test_rejects_reduced_width_outside_channels(self, reduced_attn):
+        task = gen_toy(0, n=1, h=8, w=8, k=2)
+        with pytest.raises(DimensionError):
+            train_toy(task, init_seed=0, epochs=0, use_ccl=False, cfg=CFG,
+                      channels=8, reduced_attn=reduced_attn)
+
+    @pytest.mark.parametrize("use_ccl", [False, True])
+    def test_non_finite_input_fails_at_epoch_zero(self, use_ccl):
+        task = gen_toy(0, 2, 12, 12, 3)
+        task.images[1, 0, 5, 7] = np.nan
+        res = train_toy(task, init_seed=1000, epochs=5, use_ccl=use_ccl, cfg=CFG)
+        assert res.failed and res.fail_epoch == 0 and res.metrics == []
+
+    @pytest.mark.parametrize("use_ccl", [False, True])
+    def test_failing_epoch_is_not_recorded(self, use_ccl):
+        # a step this large diverges in both arms; the epoch is left free
+        res = train_toy(gen_toy(0, 2, 12, 12, 3), 1000, 60, use_ccl, CCLConfig(), lr=5.0)
+        assert res.failed
+        assert len(res.metrics) == res.fail_epoch
+        assert all(np.isfinite(m.total) for m in res.metrics)
 
 
 class TestBatchedStep:
