@@ -8,6 +8,7 @@ rates per phi variant.
 """
 
 import argparse
+import math
 
 from crisscross.losses import CCLConfig
 from crisscross.toytrain import gen_toy, train_toy
@@ -36,13 +37,15 @@ def main() -> None:
                     continue  # the no-CCL baseline is variant-independent
                 res = train_toy(task, init_seed=seed + 1000,
                                 epochs=args.epochs, use_ccl=use_ccl, cfg=cfg)
-                m = res.metrics[-1]
+                # the last recorded epoch; a run that fails at epoch 0 has none
+                last = res.metrics[-1] if res.metrics else None
+                acc, intra, inter = ((last.pixel_acc, last.intra_var, last.inter_dist)
+                                     if last else (math.nan,) * 3)
                 print(f"{seed},{variant},{'on' if use_ccl else 'off'},"
-                      f"{not res.failed},{m.pixel_acc:.4f},"
-                      f"{m.intra_var:.4f},{m.inter_dist:.4f}")
+                      f"{not res.failed},{acc:.4f},{intra:.4f},{inter:.4f}")
                 if use_ccl and not res.failed:
                     success[variant] += 1
-                finals[(variant, use_ccl)] = (res.failed, m.intra_var)
+                finals[(variant, use_ccl)] = (res.failed, intra)
         on = finals[("piecewise", True)]
         off = finals[("piecewise", False)]
         if not on[0] and not off[0] and on[1] <= off[1]:

@@ -47,7 +47,8 @@ class CCLBreakdown:
 
     @property
     def class_means(self) -> dict:
-        return dict(zip(self.stats.classes.tolist(), self.stats.means.T)) if self.stats else {}
+        st = self.stats
+        return dict(zip(st.plan.classes.tolist(), st.means.T)) if st else {}
 
     def weighted(self, cfg: CCLConfig) -> float:
         return cfg.alpha * self.l_var + cfg.beta * self.l_dis + cfg.gamma * self.l_reg
@@ -101,32 +102,19 @@ def phi_dis_grad(dist, cfg: CCLConfig):
     return _like(2.0 * np.fmin(_distances(dist) - 2.0 * cfg.delta_d, 0.0), dist)
 
 
-def _check_aligned(features: np.ndarray, labels: np.ndarray):
+def _check_aligned(features: np.ndarray, extents: tuple):
     """features are (..., C, *S) for labels of extents S: the labels set the
     spatial rank, and any axes before the channel axis are a batch."""
-    if (labels.ndim < 1 or features.ndim <= labels.ndim
-            or features.shape[-labels.ndim:] != labels.shape):
-        raise DimensionError(
-            f"features {features.shape} do not end in a channel axis and the "
-            f"label extents {labels.shape}"
-        )
+    if (not extents or features.ndim <= len(extents)
+            or features.shape[-len(extents):] != extents):
+        raise DimensionError(f"features {features.shape} do not end in a channel axis "
+                             f"and the label extents {extents}")
 
 
 def _norms(a: np.ndarray, axis: int) -> np.ndarray:
     """Euclidean lengths along ``axis``, as sqrt(sum(a*a)): no conjugate, so
     a complex-step perturbation passes through."""
     return np.sqrt((a * a).sum(axis=axis))
-
-
-def _class_sums(values: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
-    """(..., C, K) sums of the (..., C, M) columns of ``values`` by class row."""
-    if values.dtype.kind == "c":  # bincount takes real weights only
-        return _class_sums(values.real, rows, k) + 1j * _class_sums(values.imag, rows, k)
-    lanes = values.shape[:-1]
-    c = math.prod(lanes)
-    bins = (rows + k * np.arange(c)[:, None]).reshape(-1)
-    sums = np.bincount(bins, values.reshape(-1), minlength=c * k)
-    return sums.reshape(lanes + (k,)).astype(np.float64, copy=False)  # int64 when empty
 
 
 def _total(terms: np.ndarray):
@@ -143,13 +131,42 @@ def _per_length(coef, length):
 
 
 @dataclass(frozen=True)
+class LabelPlan:
+    """The label work of the losses, done once, to pass in place of the labels."""
+    shape: tuple          # label extents S
+    classes: np.ndarray   # (K,) labels present, ascending, without IGNORE_ID
+    valid: np.ndarray     # (N,) True at the M labelled positions
+    rows: np.ndarray      # (M,) class row of each labelled position
+    counts: np.ndarray    # (K,) positions per class
+    one_hot: np.ndarray   # (M, K) float64: values @ one_hot sums values by class
+    picks: np.ndarray     # (M,) flat (class, position) index of each labelled position
+
+
+def label_plan(labels) -> LabelPlan:
+    """The plan of an integer label array, or ``labels`` itself if it is a
+    plan. Raises ValueError on a non-integer array or a negative label."""
+    if isinstance(labels, LabelPlan):
+        return labels
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integer class ids, got {labels.dtype}")
+    flat = labels.reshape(-1)
+    classes, inverse = np.unique(flat, return_inverse=True)
+    if classes.size and classes[0] < 0:
+        raise ValueError(f"negative label {classes[0]}")
+    keep = classes != IGNORE_ID
+    rows = np.where(keep, np.cumsum(keep) - 1, -1)[inverse]  # -1 at IGNORE_ID
+    valid = rows >= 0
+    rows, at, k = rows[valid], np.flatnonzero(valid), int(keep.sum())
+    return LabelPlan(labels.shape, classes[keep], valid, rows, np.bincount(rows, minlength=k),
+                     np.eye(k)[rows], flat[at].astype(np.int64) * flat.size + at)
+
+
+@dataclass(frozen=True)
 class ClassStats:
     """Per-class statistics of a (..., C', N) feature map under its labels;
     the M labelled positions are those without IGNORE_ID."""
-    classes: np.ndarray         # (K,) labels present, ascending, without IGNORE_ID
-    valid: np.ndarray           # (N,) True at the labelled positions
-    rows: np.ndarray            # (M,) class row of each labelled position
-    counts: np.ndarray          # (K,) positions per class
+    plan: LabelPlan             # classes, class rows and counts of the labels
     means: np.ndarray           # (..., C', K) class centres
     offsets: np.ndarray         # (..., C', M) centre minus feature, per labelled position
     dist: np.ndarray            # (..., M) lengths of the offsets
@@ -157,35 +174,30 @@ class ClassStats:
     centre_dist: np.ndarray     # (..., K, K) lengths of the centre offsets
 
 
-def class_stats(features: np.ndarray, labels: np.ndarray) -> ClassStats:
-    """One pass over the positions: class list, class rows, counts, means and
-    the distances that the loss and the toy statistics need."""
-    _check_aligned(features, labels)
-    flat_f = features.reshape(features.shape[:-labels.ndim] + (-1,))
-    classes, inverse = np.unique(labels.reshape(-1), return_inverse=True)
-    keep = classes != IGNORE_ID
-    rows = np.where(keep, np.cumsum(keep) - 1, -1)[inverse]  # -1 at IGNORE_ID
-    valid = rows >= 0
-    rows = rows[valid]
-    k = int(keep.sum())
-    counts = np.bincount(rows, minlength=k)
-    kept = flat_f.compress(valid, axis=-1)
-    means = _class_sums(kept, rows, k) / counts
-    offsets = means.take(rows, axis=-1) - kept
+def class_stats(features: np.ndarray, labels) -> ClassStats:
+    """Class means, each one product with the plan's one-hot matrix, and the
+    distances that the loss and the toy statistics need, under an integer
+    label array or its LabelPlan. Raises ValueError as label_plan does."""
+    plan = label_plan(labels)
+    _check_aligned(features, plan.shape)
+    kept = features.reshape(features.shape[:-len(plan.shape)] + (-1,)).compress(
+        plan.valid, axis=-1)
+    means = kept @ plan.one_hot / plan.counts
+    offsets = means.take(plan.rows, axis=-1) - kept
     centre_offsets = means[..., :, None] - means[..., None, :]
-    return ClassStats(classes[keep], valid, rows, counts, means, offsets, _norms(offsets, -2),
+    return ClassStats(plan, means, offsets, _norms(offsets, -2),
                       centre_offsets, _norms(centre_offsets, -3))
 
 
-def class_means(features: np.ndarray, labels: np.ndarray):
+def class_means(features: np.ndarray, labels):
     """Per-class mean feature vectors and valid-element counts; positions with
     the ignore id are skipped, absent classes are absent from the result."""
     st = class_stats(features, labels)
-    classes = st.classes.tolist()
-    return dict(zip(classes, st.means.T)), dict(zip(classes, st.counts.tolist()))
+    classes = st.plan.classes.tolist()
+    return dict(zip(classes, st.means.T)), dict(zip(classes, st.plan.counts.tolist()))
 
 
-def ccl_loss(features: np.ndarray, labels: np.ndarray, cfg: CCLConfig,
+def ccl_loss(features: np.ndarray, labels, cfg: CCLConfig,
              want_grad: bool = False):
     """Three-term category consistent loss on an already-reduced (C', *S)
     feature map, or on a (..., C', *S) stack of them, one loss per item
@@ -195,11 +207,12 @@ def ccl_loss(features: np.ndarray, labels: np.ndarray, cfg: CCLConfig,
     the weighted combination alpha*l_var + beta*l_dis + gamma*l_reg with
     respect to ``features``; the class means are treated as functions of the
     features, so gradients flow through both the per-pixel and the mean path.
-    Costs O(C'*N + C'*K^2) for N positions and K classes.
+    ``labels`` is an integer label array or its LabelPlan, as in class_stats.
+    Costs O(C'*N*K + C'*K^2) for N positions and K classes.
     """
     st = class_stats(features, labels)
-    nc = st.classes.size
-    per_pixel = 1.0 / (max(nc, 1) * st.counts[st.rows])  # 1 / (K * N_c) per position
+    plan, nc = st.plan, st.plan.classes.size
+    per_pixel = 1.0 / (max(nc, 1) * plan.counts[plan.rows])  # 1 / (K * N_c) per position
     pairs = np.flatnonzero(~np.eye(nc, dtype=bool))  # ordered pairs a != b
     pair_norm = max(nc * (nc - 1), 1)
     norms = _norms(st.means, -2)
@@ -212,12 +225,12 @@ def ccl_loss(features: np.ndarray, labels: np.ndarray, cfg: CCLConfig,
     if not want_grad:
         return breakdown
 
-    if features.ndim != labels.ndim + 1:
+    if features.ndim != len(plan.shape) + 1:
         raise DimensionError(f"the gradient takes one (C', *S) map, got {features.shape}")
     # l_var: each position pulls its centre by g * unit and itself by -g * unit
     pull = st.offsets * _per_length(
         cfg.alpha * phi_var_grad(st.dist, cfg) * per_pixel, st.dist)
-    d_mu = _class_sums(pull, st.rows, nc)
+    d_mu = pull @ plan.one_hot
     # l_dis over ordered pairs: centre a moves along mu_a - mu_b for every b
     push = _per_length(
         cfg.beta * 2.0 * phi_dis_grad(st.centre_dist, cfg) / pair_norm, st.centre_dist)
@@ -225,8 +238,8 @@ def ccl_loss(features: np.ndarray, labels: np.ndarray, cfg: CCLConfig,
     d_mu += st.means * _per_length(cfg.gamma / max(nc, 1), norms)
 
     # chain d_mu back to features: d mu_c / d h_j = I / N_c for j labeled c
-    grad = np.zeros((features.shape[0], st.valid.size))
-    grad[:, st.valid] = (d_mu / st.counts)[:, st.rows] - pull
+    grad = np.zeros((features.shape[0], plan.valid.size))
+    grad[:, plan.valid] = (d_mu / plan.counts)[:, plan.rows] - pull
     return breakdown, grad.reshape(features.shape)
 
 
@@ -237,31 +250,32 @@ def total_loss(seg: float, ccl: CCLBreakdown, cfg: CCLConfig) -> float:
     return seg + ccl.weighted(cfg)
 
 
-def cross_entropy_seg(logits: np.ndarray, labels: np.ndarray):
+def cross_entropy_seg(logits: np.ndarray, labels):
     """Mean pixel-wise cross-entropy over non-ignored positions of (K, *S)
     logits, or of a (..., K, *S) stack of them, one loss per item.
+    ``labels`` is an integer label array or its LabelPlan.
 
     Returns (loss, gradient w.r.t. logits); the gradient is
     (softmax - one_hot) / valid_count at non-ignored positions, zero elsewhere.
+    Raises ValueError on non-integer or negative labels and on a label >= K.
     """
-    _check_aligned(logits, labels)
-    if logits.shape[-labels.ndim - 1] < 2:
+    plan = label_plan(labels)
+    _check_aligned(logits, plan.shape)
+    flat_logits = logits.reshape(logits.shape[:-len(plan.shape)] + (-1,))
+    k, count = flat_logits.shape[-2], plan.rows.size
+    if k < 2:
         raise DimensionError(f"need (K, spatial...) logits with K >= 2, got {logits.shape}")
-    flat_logits = logits.reshape(logits.shape[:-labels.ndim] + (-1,))
-    flat_l = labels.reshape(-1)
-    valid = flat_l != IGNORE_ID
-    count = int(valid.sum())
     if count == 0:
         raise ValueError("cross entropy undefined: every position carries the ignore id")
+    if plan.classes[-1] >= k:
+        raise ValueError(f"label {plan.classes[-1]} is out of range for {k} classes")
     shifted = flat_logits - flat_logits.max(axis=-2, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=-2))
     probs = np.exp(shifted - log_z[..., None, :])
     # take along the last axis, which costs the same for one map and a stack
-    idx = np.flatnonzero(valid)
-    at_label = flat_l[idx].astype(np.int64) * flat_l.size + idx  # flat (class, position)
-    picked = shifted.reshape(shifted.shape[:-2] + (-1,)).take(at_label, axis=-1)
-    loss = -_total(picked - log_z.take(idx, axis=-1)) / count
-    one_hot = (np.arange(shifted.shape[-2])[:, None] == flat_l) & valid
-    grad = np.where(valid, probs, np.float64(0.0)) / count  # float64 or complex128
-    grad -= one_hot / count
+    picked = shifted.reshape(shifted.shape[:-2] + (-1,)).take(plan.picks, axis=-1)
+    loss = -_total(picked - log_z.compress(plan.valid, axis=-1)) / count
+    grad = probs / count  # float64 or complex128
+    grad[..., ~plan.valid] = 0.0
+    grad.reshape(grad.shape[:-2] + (-1,))[..., plan.picks] -= 1.0 / count
     return loss, grad.reshape(logits.shape)

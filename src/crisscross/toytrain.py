@@ -14,7 +14,7 @@ import numpy as np
 from .cca2d import _recurrence, _recurrence_backward
 # unused here, but the benchmark's tracer (perfbench/tracing.py) binds these names
 from .cca2d import rcca_backward, rcca_forward  # noqa: F401
-from .losses import CCLConfig, ClassStats, ccl_loss, cross_entropy_seg
+from .losses import CCLConfig, ClassStats, ccl_loss, cross_entropy_seg, label_plan
 from .tensor_core import DimensionError
 
 CLASS_MARGIN = 1.5
@@ -117,10 +117,10 @@ def gen_toy(seed: int, n: int, h: int, w: int, k: int) -> ToyTask:
 def _feature_stats(st: ClassStats) -> tuple:
     """(mean within-class squared distance to center, mean pairwise center
     distance) over the classes present."""
-    k = st.classes.size
-    sq = np.bincount(st.rows, (st.offsets * st.offsets).sum(axis=0), minlength=k)
+    k = st.plan.classes.size
+    sq = (st.offsets * st.offsets).sum(axis=0) @ st.plan.one_hot
     pairs = st.centre_dist[np.arange(k)[:, None] < np.arange(k)]  # as np.triu_indices(k, 1)
-    return float((sq / st.counts).sum() / max(k, 1)), float(pairs.sum() / max(pairs.size, 1))
+    return float((sq / st.plan.counts).sum() / max(k, 1)), float(pairs.sum() / max(pairs.size, 1))
 
 
 def _forward_batch(model: ToyModel, images: np.ndarray):
@@ -136,11 +136,11 @@ def _forward_batch(model: ToyModel, images: np.ndarray):
     return out, records, feats.reshape(side), (model.w_classify @ feats).reshape(side)
 
 
-def _evaluate_and_grad(model: ToyModel, task: ToyTask, labels: np.ndarray,
-                       use_ccl: bool, cfg: CCLConfig) -> tuple:
+def _evaluate_and_grad(model: ToyModel, task: ToyTask, labels, use_ccl: bool,
+                       cfg: CCLConfig) -> tuple:
     """(metrics, gradients by weight name) of the composite loss on the whole
-    batch. The losses see the images side by side, with the (H, n*W)
-    ``labels``, so the class means are joint across images."""
+    batch. The losses see the images side by side, with the (H, n*W) labels
+    or their LabelPlan, so the class means are joint across images."""
     n, cin, h, w = task.images.shape
     out, records, f, z = _forward_batch(model, task.images)
     seg, d_z = cross_entropy_seg(z, labels)
@@ -149,7 +149,7 @@ def _evaluate_and_grad(model: ToyModel, task: ToyTask, labels: np.ndarray,
         total = seg + ccl.weighted(cfg)
     else:
         ccl, d_f, total = ccl_loss(f, labels, cfg), np.zeros_like(f), seg
-    acc = float((z.argmax(axis=0) == labels).mean())
+    acc = float((z.argmax(axis=0).reshape(h, n, w).transpose(1, 0, 2) == task.labels).mean())
     intra, inter = _feature_stats(ccl.stats)
 
     d_z, f = d_z.reshape(len(z), -1), f.reshape(len(f), -1)
@@ -167,7 +167,7 @@ def train_toy(task: ToyTask, init_seed: int, epochs: int, use_ccl: bool,
               loops: int = 2, lr: float = 0.05, momentum: float = 0.9) -> TrainResult:
     """Full-batch momentum gradient descent on the composite objective; each
     epoch runs the whole image batch through one attention forward and one
-    backward.
+    backward. The losses of every epoch share one LabelPlan of the labels.
 
     Divergence is recorded, not raised: an epoch whose total loss or any
     gradient is non-finite (epoch 0 included) ends the run with ``failed``
@@ -179,7 +179,7 @@ def train_toy(task: ToyTask, init_seed: int, epochs: int, use_ccl: bool,
     cin = task.images.shape[1]
     model = ToyModel.init(init_seed, cin, channels, reduced_attn,
                           cfg.reduced_channels, task.num_classes, loops)
-    labels = task.labels.transpose(1, 0, 2).reshape(task.labels.shape[1], -1)
+    labels = label_plan(task.labels.transpose(1, 0, 2).reshape(task.labels.shape[1], -1))
     result = TrainResult()
     velocity, grads = {}, {}  # no step before the first evaluation
     for epoch in range(epochs + 1):

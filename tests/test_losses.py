@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,9 @@ from crisscross.losses import (
     CCLConfig,
     ccl_loss,
     class_means,
+    class_stats,
     cross_entropy_seg,
+    label_plan,
     phi_dis,
     phi_dis_grad,
     phi_var,
@@ -415,6 +419,97 @@ class TestBatchedLosses:
         real = ccl_loss(features.real, labels, CFG)
         assert bd.weighted(CFG).real == pytest.approx(real.weighted(CFG), rel=1e-15)
         assert np.iscomplexobj(cross_entropy_seg(features, labels)[0])
+
+
+def _assert_identical(a, b):
+    """Bit-for-bit equality of two results, field by field and item by item."""
+    if dataclasses.is_dataclass(a):
+        assert type(a) is type(b)
+        for f in dataclasses.fields(a):
+            _assert_identical(getattr(a, f.name), getattr(b, f.name))
+    elif isinstance(a, tuple):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_identical(x, y)
+    else:
+        a, b = np.asarray(a), np.asarray(b)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+class TestLabelPlan:
+    """A LabelPlan stands in for its labels: every loss gives, bit for bit,
+    what it gives on the label array, and malformed labels are refused."""
+
+    # classes {0, 2, 5} with ignored positions: absent ids 1, 3 and 4
+    LABELS = np.random.default_rng(20).choice([0, 2, 5, IGNORE_ID], (5, 6))
+
+    @staticmethod
+    def _features(kind):
+        rng = np.random.default_rng(21)
+        one = rng.normal(0.0, 1.5, (6, 5, 6))  # 6 channels: also logits for 6 classes
+        return {"one map": one,
+                "stack": rng.normal(0.0, 1.5, (3, 6, 5, 6)),
+                "complex": one + 1e-20j * rng.normal(size=one.shape)}[kind]
+
+    def test_plan_fields(self):
+        plan = label_plan(self.LABELS)
+        flat = self.LABELS.reshape(-1)
+        assert plan.shape == (5, 6) and plan.classes.tolist() == [0, 2, 5]
+        assert np.array_equal(plan.valid, flat != IGNORE_ID)
+        assert np.array_equal(plan.classes[plan.rows], flat[plan.valid])
+        assert plan.counts.tolist() == [int((flat == c).sum()) for c in (0, 2, 5)]
+        assert plan.one_hot.dtype == np.float64
+        assert np.array_equal(plan.one_hot, plan.rows[:, None] == np.arange(3))
+        assert np.array_equal(plan.picks, flat[plan.valid] * 30 + np.flatnonzero(plan.valid))
+        assert label_plan(plan) is plan
+
+    @pytest.mark.parametrize("kind", ["one map", "stack", "complex"])
+    def test_losses_match_label_array(self, kind):
+        features, plan = self._features(kind), label_plan(self.LABELS)
+        _assert_identical(class_stats(features, plan), class_stats(features, self.LABELS))
+        _assert_identical(ccl_loss(features, plan, CFG), ccl_loss(features, self.LABELS, CFG))
+        _assert_identical(cross_entropy_seg(features, plan),
+                          cross_entropy_seg(features, self.LABELS))
+        if kind == "one map":
+            _assert_identical(ccl_loss(features, plan, CFG, want_grad=True),
+                              ccl_loss(features, self.LABELS, CFG, want_grad=True))
+        elif kind == "stack":
+            with pytest.raises(DimensionError):
+                ccl_loss(features, plan, CFG, want_grad=True)
+
+    @pytest.mark.parametrize("shape", [(6, 6, 5), (6, 5, 6, 1), (6, 30)])
+    def test_plan_of_other_extents_rejected(self, shape):
+        features, plan = np.ones(shape), label_plan(self.LABELS)
+        for call in (lambda: class_stats(features, plan),
+                     lambda: ccl_loss(features, plan, CFG),
+                     lambda: ccl_loss(features, plan, CFG, want_grad=True),
+                     lambda: cross_entropy_seg(features, plan)):
+            with pytest.raises(DimensionError):
+                call()
+
+    def test_negative_label_rejected(self):
+        # numpy's take read -1 as the last class, for a finite loss
+        labels = np.array([[0, 1], [2, -1]])
+        with pytest.raises(ValueError, match="negative label -1"):
+            cross_entropy_seg(np.zeros((3, 2, 2)), labels)
+        with pytest.raises(ValueError, match="negative label -1"):
+            ccl_loss(np.zeros((3, 2, 2)), labels, CFG)
+
+    def test_label_beyond_classes_rejected(self):
+        # raised numpy's bare IndexError; the ignore id stays exempt
+        labels = np.array([[0, 1], [3, IGNORE_ID]])
+        with pytest.raises(ValueError, match="label 3 is out of range for 3 classes"):
+            cross_entropy_seg(np.zeros((3, 2, 2)), labels)
+        labels[1, 0] = 2
+        assert cross_entropy_seg(np.zeros((3, 2, 2)), labels)[0] == pytest.approx(np.log(3.0))
+
+    def test_float_labels_rejected(self):
+        # 1.5 was read as class 1 by the loss but not by its gradient
+        labels = np.array([[0.0, 1.0], [2.0, 1.5]])
+        with pytest.raises(ValueError, match="integer class ids, got float64"):
+            cross_entropy_seg(np.zeros((3, 2, 2)), labels)
+        with pytest.raises(ValueError, match="integer class ids, got float64"):
+            ccl_loss(np.zeros((3, 2, 2)), labels, CFG, want_grad=True)
 
 
 class TestTotalLoss:

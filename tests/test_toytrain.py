@@ -11,6 +11,7 @@ from crisscross.tensor_core import DimensionError
 from crisscross.toytrain import (
     CLASS_MARGIN,
     ToyModel,
+    TrainResult,
     _evaluate_and_grad,
     _feature_stats,
     gen_toy,
@@ -130,6 +131,19 @@ class TestTrainToy:
         assert len(res.metrics) == res.fail_epoch
         assert all(np.isfinite(m.total) for m in res.metrics)
 
+    def test_label_work_is_done_once_per_run(self, monkeypatch):
+        # labels never change in a run, so the classes are found once, not
+        # once per evaluation (3 here)
+        task, unique, calls = gen_toy(0, 2, 12, 12, 3), np.unique, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counted)
+        res = train_toy(task, init_seed=1000, epochs=2, use_ccl=True, cfg=CFG)
+        assert len(res.metrics) == 3 and len(calls) == 1
+
 
 class TestBatchedStep:
     """One training step runs the whole image batch through one attention
@@ -173,3 +187,15 @@ def test_experiment_script_runs_in_process(monkeypatch, capsys):
     assert lines[0] == "seed,variant,ccl,ok,pixel_acc,intra_var,inter_dist"
     # one seed: piecewise with and without the loss, quadratic with it
     assert len(lines) == 5 and lines[-1].startswith("# success piecewise 1/1")
+
+    # a run that fails at epoch 0 records no row: it prints nan metrics and
+    # counts as neither a success nor a win
+    monkeypatch.setattr("crisscross.toytrain.train_toy",
+                        lambda *a, **k: TrainResult(failed=True, fail_epoch=0))
+    runpy.run_path(str(script), run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:4] == [f"0,{v},{c},False,nan,nan,nan"
+                          for v, c in (("piecewise", "on"), ("piecewise", "off"),
+                                       ("quadratic", "on"))]
+    assert lines[-1] == ("# success piecewise 0/1, quadratic 0/1; "
+                         "CCL lowers intra-class variance on 0/1 seeds")
